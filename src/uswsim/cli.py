@@ -37,6 +37,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_config_flags(p: _Parser):
     p.add_argument("--policy", choices=sorted(POLICY_NAMES), default=None,
                    help="preservation policy (default: least)")
@@ -86,16 +93,16 @@ def build_parser() -> _Parser:
     _add_config_flags(p_cmp)
     p_cmp.add_argument("--policies", default="least,moderate,most",
                        help="comma-separated policies to compare (default: all three)")
-    p_cmp.add_argument("--seeds", type=int, default=20,
+    p_cmp.add_argument("--seeds", type=positive_int, default=20,
                        help="number of seeds, used as 1..N (default: 20)")
-    p_cmp.add_argument("--jobs", type=int, default=1,
+    p_cmp.add_argument("--jobs", type=positive_int, default=1,
                        help="parallel worker processes (default: 1)")
 
     p_swp = sub.add_parser("sweep", help="feast-condition scaling sweep over system sizes")
     _add_config_flags(p_swp)
     p_swp.add_argument("--sizes", default="10,50,100,250,500",
                        help="comma-separated ascending DO counts (default: 10,50,100,250,500)")
-    p_swp.add_argument("--jobs", type=int, default=1,
+    p_swp.add_argument("--jobs", type=positive_int, default=1,
                        help="parallel worker processes (default: 1)")
 
     p_ana = sub.add_parser("analyze", help="summarize stored summary JSON files")
@@ -110,6 +117,11 @@ def config_from_args(args) -> SimConfig:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             file_vals = json.load(fh)
+        if not isinstance(file_vals, dict):
+            raise UsageError(f"{args.config}: expected a JSON object of flag values")
+        unknown = sorted(set(file_vals) - set(_CONFIG_ATTR))
+        if unknown:
+            raise UsageError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
 
     def pick(flag, attr):
         cli_val = getattr(args, attr)
@@ -173,17 +185,34 @@ def _run_worker(config: SimConfig) -> dict:
     return summary_dict(result)
 
 
+def snapshot_times(text: str) -> list[int]:
+    times = []
+    for part in [s for s in text.split(",") if s.strip()]:
+        try:
+            t = int(part)
+        except ValueError:
+            raise UsageError(f"snapshot time {part.strip()!r} is not an integer") from None
+        if t < 0:
+            raise UsageError(f"snapshot time {t} is negative")
+        times.append(t)
+    return times
+
+
 def cmd_run(args) -> int:
     config = config_from_args(args)
-    out = out_dir_of(args)
+    snapshots = snapshot_times(args.snapshots)
     result = run(config)
+    late = [t for t in snapshots if t > result.final_t]
+    if late:
+        raise UsageError(f"snapshot times {late} are beyond the run's last event "
+                         f"t={result.final_t}")
+    out = out_dir_of(args)
     base = os.path.join(out, run_name(config))
     emit_timeseries_csv(result, base + ".csv")
     emit_summary_json(result, base + ".json")
     if args.edge_list:
         result.graph.write_edge_list(base + ".edges")
-    for part in [s for s in args.snapshots.split(",") if s.strip()]:
-        t = int(part)
+    for t in snapshots:
         emit_snapshot_svg(result, t, base + f"_t{t}.svg")
     print(f"{run_name(config)}: steady_state_t={result.steady_state_t} "
           f"messages={result.ledger.total} "
@@ -268,18 +297,29 @@ def sweep_sizes(sizes, base_config: SimConfig, out_dir=None, jobs=1):
                                    policy=pol))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, configs))
+            growth = _growth_totals(configs, pool.map(run, configs), out_dir)
     else:
-        results = [run(c) for c in configs]
+        growth = _growth_totals(configs, map(run, configs), out_dir)
+    fits = {pol.value: fit_growth_exponent(sorted(points))
+            for pol, points in growth.items()}
+    return fits
+
+
+def _growth_totals(configs, results, out_dir):
+    """Consume results one at a time, in config order: keep each run's
+    growth-message total, write its CSV, then let the run go."""
     growth = {}
-    for cfg, result in zip(configs, results):
+    # Not zip(configs, results): zip's reused tuple would keep the previous
+    # result alive while the next one is computed.
+    for cfg in configs:
+        result = next(results)
         growth.setdefault(cfg.policy, []).append(
             (cfg.n_max, result.ledger.phase_messages[Phase.GROWTH]))
         if out_dir is not None:
             emit_timeseries_csv(result, os.path.join(out_dir, run_name(cfg) + ".csv"))
-    fits = {pol.value: fit_growth_exponent(sorted(points))
-            for pol, points in growth.items()}
-    return fits
+        # Drop it before the next run starts, so only one is alive at once.
+        del result
+    return growth
 
 
 def cmd_sweep(args) -> int:

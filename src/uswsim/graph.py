@@ -14,8 +14,10 @@ import math
 from random import Random
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+
+# Sources per bit-parallel BFS sweep in avg_path_length: 8 uint64 words per
+# node, so the neighbour gather holds 2 * edges * 64 bytes at most.
+BFS_BLOCK = 512
 
 
 class FriendshipGraph:
@@ -224,49 +226,71 @@ def clustering_coefficient(graph: FriendshipGraph) -> float:
 def avg_path_length(graph: FriendshipGraph) -> tuple[float, bool]:
     """Mean shortest-path length over unordered node pairs.
 
-    BFS distances are computed from every node (vectorized through
-    scipy's unweighted shortest-path machinery).  On a disconnected graph
-    the mean is taken over the largest component and the returned flag is
-    True.
+    Exact all-pairs breadth-first search, run bit-parallel: each sweep
+    carries BFS_BLOCK sources at once as one bit per source in every
+    node's uint64 reach set.  On a disconnected graph the mean is taken
+    over the largest component (on a tie, the one holding the smallest
+    node id) and the returned flag is True.
     """
     n = len(graph)
     if n == 0:
         raise ValueError("path length of an empty graph")
-    if n == 1:
-        return 0.0, False
-    nodes = graph.nodes()
-    index = {u: i for i, u in enumerate(nodes)}
-    rows, cols = [], []
-    for u in nodes:
-        iu = index[u]
-        for v in graph.adj[u]:
-            rows.append(iu)
-            cols.append(index[v])
-    data = np.ones(len(rows), dtype=np.int8)
-    mat = csr_matrix((data, (rows, cols)), shape=(n, n))
-
-    ncomp, labels = connected_components(mat, directed=False)
-    disconnected = ncomp > 1
-    if disconnected:
-        sizes = np.bincount(labels)
-        keep = np.flatnonzero(labels == sizes.argmax())
-        mat = mat[keep][:, keep]
-        m = len(keep)
-    else:
-        keep = np.arange(n)
-        m = n
+    comp = _largest_component(graph)
+    m = len(comp)
+    disconnected = m < n
     if m == 1:
         return 0.0, disconnected
 
-    total = 0.0
-    chunk = 512
-    for start in range(0, m, chunk):
-        idx = np.arange(start, min(start + chunk, m))
-        dist = dijkstra(mat, directed=False, unweighted=True, indices=idx)
-        total += dist.sum()
+    index = {u: i for i, u in enumerate(comp)}
+    degrees = np.fromiter((len(graph.adj[u]) for u in comp), dtype=np.int64, count=m)
+    starts = np.zeros(m, dtype=np.int64)
+    np.cumsum(degrees[:-1], out=starts[1:])
+    indices = np.fromiter((index[v] for u in comp for v in graph.adj[u]),
+                          dtype=np.int64, count=int(degrees.sum()))
+
+    total = 0
+    for first in range(0, m, BFS_BLOCK):
+        size = min(BFS_BLOCK, m - first)
+        words = (size + 63) // 64
+        frontier = np.zeros((m, words), dtype=np.uint64)
+        bits = np.arange(size)
+        frontier[first + bits, bits // 64] = np.uint64(1) << (bits % 64).astype(np.uint64)
+        seen = frontier.copy()
+        depth = 0
+        while True:
+            depth += 1
+            # Every row is non-empty (the component is connected and has
+            # two or more nodes), which reduceat needs to OR each row.
+            frontier = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+            frontier &= ~seen
+            reached = int(np.bitwise_count(frontier).sum())
+            if reached == 0:
+                break
+            total += depth * reached
+            seen |= frontier
     # Each unordered pair was counted twice.
     pairs = m * (m - 1) / 2
     return total / 2.0 / pairs, disconnected
+
+
+def _largest_component(graph: FriendshipGraph) -> list[int]:
+    """Sorted nodes of the largest component, the first one found on a tie
+    when components are visited from their smallest node up."""
+    best: list[int] = []
+    seen: set[int] = set()
+    for root in graph.nodes():
+        if root in seen:
+            continue
+        seen.add(root)
+        members = [root]
+        for u in members:
+            for v in graph.adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    members.append(v)
+        if len(members) > len(best):
+            best = members
+    return sorted(best)
 
 
 def uniform_random_graph(n: int, m: int, rng: Random) -> FriendshipGraph:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from uswsim.cli import build_parser, config_from_args, main
 from uswsim.model import PolicyKind
 
@@ -63,6 +65,17 @@ class TestParsing:
         assert cfg.n_max == 77   # from file
         assert cfg.seed == 4     # flag wins
 
+    @pytest.mark.parametrize("values, message", [({"n_maxx": 5}, "n_maxx"),
+                                                  (["n_max", 5], "JSON object")])
+    def test_unknown_config_key_rejected(self, tmp_path, values, message):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        proc = invoke(["run", *FAST, "--config", str(cfg_file), "--out-dir", str(out)])
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_outputs_named_after_policy_n_seed(self, tmp_path):
@@ -81,6 +94,20 @@ class TestRunCommand:
         assert (tmp_path / "run_least_n30_seed3_t100.svg").exists()
         assert (tmp_path / "run_least_n30_seed3.edges").exists()
 
+    @pytest.mark.parametrize("times", ["abc", "0,-5"])
+    def test_bad_snapshot_time_rejected_before_run(self, tmp_path, times):
+        out = tmp_path / "out"
+        proc = invoke(["run", *FAST, f"--snapshots={times}", "--out-dir", str(out)])
+        assert proc.returncode == 1
+        assert not out.exists()
+
+    def test_snapshot_beyond_run_rejected_before_export(self, tmp_path):
+        out = tmp_path / "out"
+        proc = invoke(["run", *FAST, "--snapshots", "0,100000000", "--out-dir", str(out)])
+        assert proc.returncode == 1
+        assert "100000000" in proc.stderr
+        assert not out.exists()
+
     def test_out_dir_from_environment(self, tmp_path):
         proc = invoke(["run", *FAST, "--seed", "2"],
                       env_extra={"USWSIM_OUT": str(tmp_path)})
@@ -97,6 +124,12 @@ class TestCompareCommand:
         proc = invoke(["compare", "--policies", "least,extreme", *FAST])
         assert proc.returncode == 1
 
+    def test_zero_seeds_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        proc = invoke(["compare", "--seeds", "0", *FAST, "--out-dir", str(out)])
+        assert proc.returncode == 1
+        assert not out.exists()
+
     def test_two_policy_table(self, tmp_path):
         proc = invoke(["compare", "--policies", "moderate,most", "--seeds", "2",
                        *FAST, "--out-dir", str(tmp_path)])
@@ -105,6 +138,15 @@ class TestCompareCommand:
         report = json.loads((tmp_path / "compare_n30_seeds2.json").read_text())
         assert set(report["policies"]) == {"moderate", "most"}
         assert report["seed_count"] == 2
+
+
+@pytest.mark.parametrize("command", [["compare", "--seeds", "1", *FAST],
+                                     ["sweep", "--sizes", "5,10,20", "--h-max", "60"]])
+def test_zero_jobs_rejected(tmp_path, command):
+    out = tmp_path / "out"
+    proc = invoke([*command, "--jobs", "0", "--out-dir", str(out)])
+    assert proc.returncode == 1
+    assert not out.exists()
 
 
 class TestSweepCommand:

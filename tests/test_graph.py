@@ -1,3 +1,4 @@
+from collections import deque
 from random import Random
 
 import pytest
@@ -208,29 +209,63 @@ class TestAvgPathLength:
         with pytest.raises(ValueError):
             avg_path_length(FriendshipGraph())
 
-    def test_matches_bfs_oracle_on_random_graph(self):
-        g = uniform_random_graph(30, 60, Random(5))
-        length, disconnected = avg_path_length(g)
+    def test_tied_components_keep_the_one_with_the_smallest_node(self):
+        # A 1-2-3 path and a 4-5-6 triangle: the path is kept.
+        g = graph_of([(1, 2), (2, 3), (4, 5), (5, 6), (4, 6)])
+        assert avg_path_length(g) == (4 / 3, True)
 
-        # Plain breadth-first search from every node.
-        from collections import deque
-        nodes = g.nodes()
-        total, pairs = 0, 0
-        for src in nodes:
-            dist = {src: 0}
-            dq = deque([src])
-            while dq:
-                u = dq.popleft()
-                for v in g.neighbors(u):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        dq.append(v)
-            for v, d in dist.items():
-                if v > src:
-                    total += d
-                    pairs += 1
-        if not disconnected:
-            assert length == pytest.approx(total / pairs)
+    def test_matches_bfs_oracle_on_random_graph(self):
+        # Connected graphs on both sides of the 64-bit word boundaries of
+        # the source bitsets, then disconnected ones: a 64-node largest
+        # component, isolated nodes, and two tied components.
+        cases = {
+            "n30": uniform_random_graph(30, 60, Random(5)),
+            "n63": uniform_random_graph(63, 252, Random(1)),
+            "n64": uniform_random_graph(64, 256, Random(2)),
+            "n65": uniform_random_graph(65, 260, Random(3)),
+            "n129": uniform_random_graph(129, 516, Random(4)),
+            "n130": uniform_random_graph(130, 520, Random(5)),
+            "n65-sparse": uniform_random_graph(65, 150, Random(3)),
+            "isolated-nodes": graph_of([(1, 2), (2, 3), (3, 4), (7, 8)], nodes=range(1, 12)),
+            "tied-components": graph_of([(1, 2), (2, 3), (4, 5), (5, 6), (4, 6)]),
+        }
+        for name, graph in cases.items():
+            assert avg_path_length(graph) == bfs_oracle(graph), name
+
+    @pytest.mark.parametrize("n, seed, expected", [
+        (500, 11, 2.3960320641282564),
+        (2000, 12, 2.513368184092046),
+    ])
+    def test_grown_graph_value_pinned(self, n, seed, expected):
+        assert avg_path_length(grow_graph(n, seed=seed)) == (expected, False)
+
+
+def bfs_oracle(g):
+    """Integer all-pairs BFS over the first largest component, visiting
+    components from their smallest node up."""
+    comps, seen = [], set()
+    for root in g.nodes():
+        if root not in seen:
+            comp = bfs_distances(g, root)
+            seen.update(comp)
+            comps.append(comp)
+    comp = max(comps, key=len)  # max keeps the first of equal sizes
+    total = sum(d for src in comp for d in bfs_distances(g, src).values())
+    pairs = len(comp) * (len(comp) - 1) // 2
+    mean = total / 2 / pairs if pairs else 0.0
+    return mean, len(comps) > 1
+
+
+def bfs_distances(g, src):
+    dist = {src: 0}
+    dq = deque([src])
+    while dq:
+        u = dq.popleft()
+        for v in g.neighbors(u):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                dq.append(v)
+    return dist
 
 
 class TestGrowGraph:
