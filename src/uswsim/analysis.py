@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Phase, RunResult
+from .fileio import atomic_write
 from .model import HostBand, host_band, status_value
 
 
@@ -127,7 +128,7 @@ def emit_timeseries_csv(result: RunResult, path):
     """One row per time bin with status and host-band fractions."""
     boundary = result.phase_boundary_t
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(CSV_HEADER + "\n")
             for i, t in enumerate(result.bin_ts):
                 phase = "growth" if boundary is None or t < boundary else "maintenance"
@@ -209,7 +210,7 @@ def summary_dict(result: RunResult) -> dict:
 
 def emit_summary_json(result: RunResult, path):
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
@@ -332,7 +333,7 @@ def emit_snapshot_svg(result: RunResult, t: int, path):
                                 half + 20, hist_y, half - 40, hist_h, upto)
     parts.append("</svg>")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("\n".join(parts) + "\n")
     except OSError as exc:
         raise OSError(f"writing snapshot SVG to {path}: {exc}") from exc

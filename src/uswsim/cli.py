@@ -12,6 +12,7 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import replace
 
 from .analysis import (
@@ -22,6 +23,7 @@ from .analysis import (
     summary_dict,
 )
 from .engine import Phase, run
+from .fileio import atomic_write
 from .model import PolicyKind, SimConfig
 
 POLICY_NAMES = {"least": PolicyKind.LEAST, "moderate": PolicyKind.MODERATE,
@@ -208,12 +210,24 @@ def cmd_run(args) -> int:
                          f"t={result.final_t}")
     out = out_dir_of(args)
     base = os.path.join(out, run_name(config))
-    emit_timeseries_csv(result, base + ".csv")
-    emit_summary_json(result, base + ".json")
+    exports = [(base + ".csv", lambda path: emit_timeseries_csv(result, path)),
+               (base + ".json", lambda path: emit_summary_json(result, path))]
     if args.edge_list:
-        result.graph.write_edge_list(base + ".edges")
+        exports.append((base + ".edges", result.graph.write_edge_list))
     for t in snapshots:
-        emit_snapshot_svg(result, t, base + f"_t{t}.svg")
+        exports.append((base + f"_t{t}.svg",
+                        lambda path, t=t: emit_snapshot_svg(result, t, path)))
+    written = []
+    try:
+        for path, export in exports:
+            export(path)
+            written.append(path)
+    except BaseException:
+        # A failed run leaves none of its outputs behind.
+        for path in written:
+            with suppress(OSError):
+                os.remove(path)
+        raise
     print(f"{run_name(config)}: steady_state_t={result.steady_state_t} "
           f"messages={result.ledger.total} "
           f"effectiveness={result.final_effectiveness:.4f}")
@@ -271,7 +285,7 @@ def cmd_compare(args) -> int:
                               jobs=args.jobs)
     out = out_dir_of(args)
     path = os.path.join(out, f"compare_n{config.n_max}_seeds{args.seeds}.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     header = f"{'policy':>10} {'steady_t':>9} {'messages':>9} {'effect.':>8} {'unused_hosts':>13}"
@@ -339,7 +353,7 @@ def cmd_sweep(args) -> int:
         for pol, fit in sorted(fits.items())
     }
     path = os.path.join(out, f"sweep_{'-'.join(map(str, sizes))}.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for pol, row in summary.items():

@@ -16,22 +16,21 @@ identical configurations replay identically.
 from __future__ import annotations
 
 import enum
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from random import Random
 
+import numpy as np
+
 from .graph import FriendshipGraph, Linked, WanderState, finalize_links, start_wander, wander_step
 from .model import (
-    DO,
-    HOST,
-    Endpoint,
-    Message,
     MessageKind,
     NamedCondition,
-    PlacementRequest,
     Reason,
     SimConfig,
     classify_condition,
+    host_band,
     status_value,
 )
 from .preservation import (
@@ -53,55 +52,112 @@ class Phase(enum.Enum):
 
 
 class MessageLedger:
-    """Send/receive counters, kept per DO, per host, per time bin and per phase."""
+    """Every message ever sent, one entry per send in four append-only columns.
+
+    The columns hold the kind's ``code``, the send time, the sender id and
+    the receiver id; the kind says whether each id names a DO or a host.
+    The per-DO, per-host, per-bin, per-kind and per-phase views are derived
+    from the columns when read.
+    """
+
+    __slots__ = ("bin_size", "kinds", "times", "senders", "receivers", "growth_total")
 
     def __init__(self, bin_size: int):
         self.bin_size = bin_size
-        self.do_sent: dict[int, int] = {}
-        self.do_received: dict[int, int] = {}
-        self.host_sent: dict[int, int] = {}
-        self.host_received: dict[int, int] = {}
-        self.do_sent_bins: dict[int, dict[int, int]] = {}
-        self.do_received_bins: dict[int, dict[int, int]] = {}
-        self.sys_sent_bins: dict[int, int] = {}
-        self.sys_received_bins: dict[int, int] = {}
-        self.phase_messages = {Phase.GROWTH: 0, Phase.MAINTENANCE: 0}
-        self.kind_counts: dict[MessageKind, int] = {}
-        self.total = 0
-        self.current_phase = Phase.GROWTH
+        self.kinds = array("B")
+        self.times = array("i")
+        self.senders = array("i")
+        self.receivers = array("i")
+        # Messages sent before the run entered maintenance; None while growing.
+        self.growth_total: int | None = None
 
-    def record(self, message: Message):
-        b = message.t_sent // self.bin_size
-        frm, to = message.frm, message.to
-        if frm.kind == DO:
-            self.do_sent[frm.id] = self.do_sent.get(frm.id, 0) + 1
-            bins = self.do_sent_bins.setdefault(frm.id, {})
-            bins[b] = bins.get(b, 0) + 1
-        else:
-            self.host_sent[frm.id] = self.host_sent.get(frm.id, 0) + 1
-        if to.kind == DO:
-            self.do_received[to.id] = self.do_received.get(to.id, 0) + 1
-            bins = self.do_received_bins.setdefault(to.id, {})
-            bins[b] = bins.get(b, 0) + 1
-        else:
-            self.host_received[to.id] = self.host_received.get(to.id, 0) + 1
-        self.sys_sent_bins[b] = self.sys_sent_bins.get(b, 0) + 1
-        self.sys_received_bins[b] = self.sys_received_bins.get(b, 0) + 1
-        self.phase_messages[self.current_phase] += 1
-        self.kind_counts[message.kind] = self.kind_counts.get(message.kind, 0) + 1
-        self.total += 1
+    @property
+    def total(self) -> int:
+        return len(self.kinds)
 
     @property
     def total_sent(self) -> int:
-        return sum(self.do_sent.values()) + sum(self.host_sent.values())
+        return len(self.senders)
 
     @property
     def total_received(self) -> int:
-        return sum(self.do_received.values()) + sum(self.host_received.values())
+        return len(self.receivers)
+
+    @property
+    def phase_messages(self) -> dict[Phase, int]:
+        total = self.total
+        growth = total if self.growth_total is None else self.growth_total
+        return {Phase.GROWTH: growth, Phase.MAINTENANCE: total - growth}
+
+    @property
+    def kind_counts(self) -> dict[MessageKind, int]:
+        counts = np.bincount(np.array(self.kinds), minlength=len(MessageKind)).tolist()
+        return {kind: counts[kind.code] for kind in MessageKind if counts[kind.code]}
+
+    def _ends(self, column: array, do_by_code: np.ndarray):
+        """The ids of one endpoint column, and whether each is a DO (else a host)."""
+        return np.array(column), do_by_code[np.array(self.kinds)]
+
+    def _bins(self) -> np.ndarray:
+        return np.array(self.times, dtype=np.int64) // self.bin_size
+
+    @property
+    def do_sent(self) -> dict[int, int]:
+        ids, is_do = self._ends(self.senders, _FROM_DO)
+        return _tally(ids[is_do])
+
+    @property
+    def do_received(self) -> dict[int, int]:
+        ids, is_do = self._ends(self.receivers, _TO_DO)
+        return _tally(ids[is_do])
+
+    @property
+    def host_sent(self) -> dict[int, int]:
+        ids, is_do = self._ends(self.senders, _FROM_DO)
+        return _tally(ids[~is_do])
+
+    @property
+    def host_received(self) -> dict[int, int]:
+        ids, is_do = self._ends(self.receivers, _TO_DO)
+        return _tally(ids[~is_do])
+
+    @property
+    def do_sent_bins(self) -> dict[int, dict[int, int]]:
+        ids, is_do = self._ends(self.senders, _FROM_DO)
+        return _tally_bins(ids[is_do], self._bins()[is_do])
+
+    @property
+    def do_received_bins(self) -> dict[int, dict[int, int]]:
+        ids, is_do = self._ends(self.receivers, _TO_DO)
+        return _tally_bins(ids[is_do], self._bins()[is_do])
+
+    @property
+    def sys_sent_bins(self) -> dict[int, int]:
+        return _tally(self._bins())
+
+    # Every message is received exactly once, in the bin it was sent in.
+    sys_received_bins = sys_sent_bins
 
 
-def record_message(ledger: MessageLedger, message: Message):
-    ledger.record(message)
+# Indexed by MessageKind.code: is the sender / the receiver a DO?
+_FROM_DO = np.array([kind.from_do for kind in MessageKind])
+_TO_DO = np.array([kind.to_do for kind in MessageKind])
+
+
+def _tally(values: np.ndarray) -> dict[int, int]:
+    """Occurrences of each distinct value, in ascending order."""
+    found, counts = np.unique(values, return_counts=True)
+    return dict(zip(found.tolist(), counts.tolist()))
+
+
+def _tally_bins(ids: np.ndarray, bins: np.ndarray) -> dict[int, dict[int, int]]:
+    """Occurrences of each (id, bin) pair, nested by id."""
+    width = int(bins.max()) + 1 if bins.size else 1
+    out: dict[int, dict[int, int]] = {}
+    for key, n in _tally(ids.astype(np.int64) * width + bins).items():
+        do, b = divmod(key, width)
+        out.setdefault(do, {})[b] = n
+    return out
 
 
 @dataclass
@@ -188,24 +244,23 @@ class World:
 
     # ----- ledger / bookkeeping hooks used by preservation ---------------
 
-    def send(self, kind: MessageKind, frm: Endpoint, to: Endpoint):
-        self.ledger.record(Message(kind, frm, to, self.t))
+    def send(self, kind: MessageKind, frm: int, to: int):
+        """Record one message; the kind says whether ``frm``/``to`` are DO or host ids."""
+        if frm == to and kind.from_do and kind.to_do:
+            raise ValueError("message sender and recipient must differ")
+        ledger = self.ledger
+        ledger.kinds.append(kind.code)
+        ledger.times.append(self.t)
+        ledger.senders.append(frm)
+        ledger.receivers.append(to)
 
-    def _band_of(self, host: Host) -> str:
-        used = host.used
-        if used == 0:
-            return "white"
-        ratio = used / host.capacity
-        if ratio < 0.25:
-            return "red"
-        if ratio < 0.50:
-            return "yellow"
-        if ratio < 0.75:
-            return "green"
-        return "blue"
+    def _move_band(self, host: Host, used_before: int):
+        """Recount ``host`` from its band at ``used_before`` slots to its band now."""
+        bands = self.host_band_counts
+        bands[host_band(used_before, host.capacity, True, used_before > 0).value] -= 1
+        bands[host_band(host.used, host.capacity, True, host.used > 0).value] += 1
 
     def note_copy_added(self, fam: Family, host: Host):
-        old_band = self._band_of_after(host, -1)
         v_old = status_value(fam.copy_count - 1, fam.r_min, fam.r_max)
         v_new = status_value(fam.copy_count, fam.r_min, fam.r_max)
         self.status_value_sum += v_new - v_old
@@ -213,14 +268,12 @@ class World:
         self.status_counts[v_new - 1] += 1
         self.copies_total += 1
         self.slots_used_total += 1
-        self.host_band_counts[old_band] -= 1
-        self.host_band_counts[self._band_of(host)] += 1
+        self._move_band(host, host.used - 1)
         self.copy_events.append((self.t, fam.do_id, 1))
         self.host_use_events.append((self.t, host.host_id, 1))
         self.placements += 1
 
     def note_copy_removed(self, fam: Family, host: Host):
-        old_band = self._band_of_after(host, 1)
         v_old = status_value(fam.copy_count + 1, fam.r_min, fam.r_max)
         v_new = status_value(fam.copy_count, fam.r_min, fam.r_max)
         self.status_value_sum += v_new - v_old
@@ -228,23 +281,9 @@ class World:
         self.status_counts[v_new - 1] += 1
         self.copies_total -= 1
         self.slots_used_total -= 1
-        self.host_band_counts[old_band] -= 1
-        self.host_band_counts[self._band_of(host)] += 1
+        self._move_band(host, host.used + 1)
         self.copy_events.append((self.t, fam.do_id, -1))
         self.host_use_events.append((self.t, host.host_id, -1))
-
-    def _band_of_after(self, host: Host, delta: int) -> str:
-        used = host.used + delta
-        if used == 0:
-            return "white"
-        ratio = used / host.capacity
-        if ratio < 0.25:
-            return "red"
-        if ratio < 0.50:
-            return "yellow"
-        if ratio < 0.75:
-            return "green"
-        return "blue"
 
     def note_sacrifice(self, donor: int, host_id: int, beneficiary: int):
         self.sacrifices += 1
@@ -261,7 +300,7 @@ class World:
     def discover_host(self, host_id: int) -> Host:
         host = self.hosts.get(host_id)
         if host is None:
-            host = Host(host_id, self.config.host_capacity, self.t)
+            host = Host(host_id, self.config.host_capacity)
             self.hosts[host_id] = host
             self.host_band_counts["white"] += 1
             self.discovery_events.append((self.t, host_id))
@@ -273,8 +312,7 @@ class World:
         do = self.introduced + 1
         self.introduced = do
         home = self.rng.randrange(1, self.config.h_max + 1)
-        host = self.discover_host(home)
-        host.local_dos.append(do)
+        self.discover_host(home)
         fam = Family(do, home, self.config.r_min, self.config.r_max, self.t)
         self.families[do] = fam
         self.status_counts[0] += 1
@@ -300,17 +338,15 @@ class World:
     def _process_wander(self, do: int):
         state = self.wanderers[do]
         visited = state.current
-        do_ep = Endpoint(DO, do)
-        cur_ep = Endpoint(DO, visited)
-        self.send(MessageKind.CONTACT, do_ep, cur_ep)
-        self.send(MessageKind.CONTACT_REPLY, cur_ep, do_ep)
+        self.send(MessageKind.CONTACT, do, visited)
+        self.send(MessageKind.CONTACT_REPLY, visited, do)
         cap = 10 * max(len(self.graph), 1)
         outcome = wander_step(state, self.graph, self.config.link_probability, self.rng, cap)
         if isinstance(outcome, Linked):
             edges = finalize_links(state, self.graph, self.config.extra_link_fraction, self.rng)
             for u, v in edges:
-                self.send(MessageKind.LINK_REQUEST, Endpoint(DO, u), Endpoint(DO, v))
-                self.send(MessageKind.LINK_ACK, Endpoint(DO, v), Endpoint(DO, u))
+                self.send(MessageKind.LINK_REQUEST, u, v)
+                self.send(MessageKind.LINK_ACK, v, u)
             self._connect(self.families[do], state)
         else:
             self.queue.append((_WANDER, do))
@@ -326,14 +362,12 @@ class World:
         if host.free_slots > 0:
             return place_copy(fam, host_id, self) is PlaceOutcome.PLACED
         if fam.copy_count < fam.r_min and host.capacity > 0:
-            do_ep = Endpoint(DO, fam.do_id)
-            host_ep = Endpoint(HOST, host_id)
-            self.send(MessageKind.COPY_REQUEST, do_ep, host_ep)
+            self.send(MessageKind.COPY_REQUEST, fam.do_id, host_id)
             if try_sacrifice(fam, host_id, self) is not None:
-                self.send(MessageKind.COPY_ACK, host_ep, do_ep)
+                self.send(MessageKind.COPY_ACK, host_id, fam.do_id)
                 return True
             fam.believed_free[host_id] = 0
-            self.send(MessageKind.COPY_DENY, host_ep, do_ep)
+            self.send(MessageKind.COPY_DENY, host_id, fam.do_id)
             self.denials += 1
             return False
         place_copy(fam, host_id, self)
@@ -360,14 +394,12 @@ class World:
         desired = copies_to_attempt(self.config.policy, c, fam.r_min, fam.r_max, first)
         if desired <= 0:
             return
-        request = PlacementRequest(do, desired, reason)
         cap = self.config.host_capacity
         placed = 0
         contacts = 0
         new_hosts: list[int] = []
         for host_id in candidate_hosts(fam, self):
-            if placed >= request.desired_count or contacts >= request.desired_count \
-                    or fam.copy_count >= fam.r_max:
+            if placed >= desired or contacts >= desired or fam.copy_count >= fam.r_max:
                 break
             if fam.believed_free.get(host_id, cap) <= 0 and fam.copy_count >= fam.r_min:
                 break  # only hosts it believes full remain
@@ -488,7 +520,7 @@ def run(config: SimConfig, invariant_hook=None) -> RunResult:
         if world.phase is Phase.GROWTH and phase_of(world) is Phase.MAINTENANCE:
             world.phase = Phase.MAINTENANCE
             world.phase_boundary_t = world.t
-            world.ledger.current_phase = Phase.MAINTENANCE
+            world.ledger.growth_total = world.ledger.total
         if world.t % bin_size == 0:
             world.sample_bin()
         if invariant_hook is not None:

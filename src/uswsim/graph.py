@@ -15,6 +15,8 @@ from random import Random
 
 import numpy as np
 
+from .fileio import atomic_write
+
 # Sources per bit-parallel BFS sweep in avg_path_length: 8 uint64 words per
 # node, so the neighbour gather holds 2 * edges * 64 bytes at most.
 BFS_BLOCK = 512
@@ -69,7 +71,7 @@ class FriendshipGraph:
 
     def write_edge_list(self, path):
         """One ascending "u v" pair per line, suitable for external tools."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for u, v in self.edges():
                 fh.write(f"{u} {v}\n")
 

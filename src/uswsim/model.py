@@ -67,41 +67,25 @@ class MessageKind(enum.Enum):
     HOST_ANNOUNCE = "host_announce"
 
 
+# The kind fixes both endpoints: copy traffic is addressed to the host
+# holding the slot and answered by it, everything else travels between
+# DOs.  ``code`` is the kind's small-int index into the message ledger,
+# ``from_do``/``to_do`` say whether the sender/receiver id is a DO id
+# (otherwise a host id).
+for _code, _kind in enumerate(MessageKind):
+    _kind.code = _code
+    _kind.from_do = _kind not in (MessageKind.COPY_ACK, MessageKind.COPY_DENY,
+                                  MessageKind.SACRIFICE_DIRECTIVE)
+    _kind.to_do = _kind is not MessageKind.COPY_REQUEST
+del _code, _kind
+
+
 class Reason(enum.Enum):
     """Why a family is attempting to place copies."""
 
     FIRST_CONNECTION = "first_connection"
     OPPORTUNISTIC = "opportunistic"
     REPLENISH = "replenish"
-
-
-# Message endpoints.  DOs talk to DOs over friendship links; copy traffic
-# is addressed to the host holding the slot, so both kinds of participant
-# appear in the ledger.
-DO = "do"
-HOST = "host"
-
-
-@dataclass(frozen=True)
-class Endpoint:
-    kind: str  # DO or HOST
-    id: int
-
-    def __post_init__(self):
-        if self.kind not in (DO, HOST):
-            raise ValueError(f"bad endpoint kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class Message:
-    kind: MessageKind
-    frm: Endpoint
-    to: Endpoint
-    t_sent: int
-
-    def __post_init__(self):
-        if self.frm == self.to:
-            raise ValueError("message sender and recipient must differ")
 
 
 @dataclass(frozen=True)
@@ -111,13 +95,6 @@ class ReplicaRef:
     do_id: int
     copy_index: int
     host_id: int
-
-
-@dataclass(frozen=True)
-class PlacementRequest:
-    family: int
-    desired_count: int
-    reason: Reason
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,7 @@ from __future__ import annotations
 
 import enum
 
-from .model import (
-    DO,
-    HOST,
-    Endpoint,
-    MessageKind,
-    PolicyKind,
-    ReplicaRef,
-    SacrificeDecision,
-)
+from .model import MessageKind, PolicyKind, ReplicaRef, SacrificeDecision
 
 
 class Family:
@@ -65,14 +57,12 @@ class Family:
 class Host:
     """A discovered storage node: unbounded local DOs, finite foreign slots."""
 
-    __slots__ = ("host_id", "capacity", "local_dos", "foreign", "discovered_t")
+    __slots__ = ("host_id", "capacity", "foreign")
 
-    def __init__(self, host_id: int, capacity: int, discovered_t: int):
+    def __init__(self, host_id: int, capacity: int):
         self.host_id = host_id
         self.capacity = capacity
-        self.local_dos: list[int] = []
         self.foreign: dict[int, int] = {}    # do_id -> copy_index
-        self.discovered_t = discovered_t
 
     @property
     def used(self) -> int:
@@ -143,16 +133,14 @@ def place_copy(family: Family, host_id: int, world) -> PlaceOutcome:
     if family.copy_count >= family.r_max:
         raise ValueError(f"family {family.do_id} already at r_max")
     host = world.hosts[host_id]
-    do_ep = Endpoint(DO, family.do_id)
-    host_ep = Endpoint(HOST, host_id)
-    world.send(MessageKind.COPY_REQUEST, do_ep, host_ep)
+    world.send(MessageKind.COPY_REQUEST, family.do_id, host_id)
     if host.free_slots <= 0:
         family.believed_free[host_id] = 0
-        world.send(MessageKind.COPY_DENY, host_ep, do_ep)
+        world.send(MessageKind.COPY_DENY, host_id, family.do_id)
         return PlaceOutcome.DENIED
     _store_replica(family, host, world)
     family.believed_free[host_id] = host.free_slots
-    world.send(MessageKind.COPY_ACK, host_ep, do_ep)
+    world.send(MessageKind.COPY_ACK, host_id, family.do_id)
     return PlaceOutcome.PLACED
 
 
@@ -201,7 +189,7 @@ def try_sacrifice(beneficiary: Family, host_id: int, world) -> SacrificeDecision
     del host.foreign[donor_id]
     del donor.copies[host_id]
     world.note_copy_removed(donor, host)
-    world.send(MessageKind.SACRIFICE_DIRECTIVE, Endpoint(HOST, host_id), Endpoint(DO, donor_id))
+    world.send(MessageKind.SACRIFICE_DIRECTIVE, host_id, donor_id)
     _store_replica(beneficiary, host, world)
     beneficiary.believed_free[host_id] = 0
     donor.believed_free[host_id] = 0
@@ -217,11 +205,10 @@ def announce_new_host(family: Family, host_id: int, world) -> int:
     at most one chase queued, retargeted by newer news.
     """
     sent = 0
-    do_ep = Endpoint(DO, family.do_id)
     observed = family.believed_free.get(host_id, 0)
     wake = []
     for friend in sorted(world.graph.neighbors(family.do_id)):
-        world.send(MessageKind.HOST_ANNOUNCE, do_ep, Endpoint(DO, friend))
+        world.send(MessageKind.HOST_ANNOUNCE, family.do_id, friend)
         sent += 1
         other = world.families[friend]
         other.known_hosts.add(host_id)

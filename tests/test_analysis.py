@@ -160,6 +160,16 @@ class TestSummaryJson:
         hosts = data["hosts"]
         assert hosts["discovered"] + hosts["undiscovered"] == hosts["universe"]
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text("previous\n")
+        result = run(SimConfig(n_max=5, h_max=10))
+        result.config = None  # summary_dict fails after the file was opened
+        with pytest.raises(AttributeError):
+            emit_summary_json(result, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+        assert path.read_text() == "previous\n"
+
     def test_csv_json_consistency(self, small_run, tmp_path):
         # Final CSV cumulative totals equal the JSON phase subtotal sums.
         csv_path = tmp_path / "ts.csv"

@@ -108,6 +108,15 @@ class TestRunCommand:
         assert "100000000" in proc.stderr
         assert not out.exists()
 
+    def test_failed_export_leaves_no_outputs(self, tmp_path):
+        # A directory where the second snapshot should go makes that export
+        # fail after the CSV, JSON, edge list and first snapshot were written.
+        (tmp_path / "run_least_n200_seed1_t1500.svg").mkdir()
+        proc = invoke(["run", "--n-max", "200", "--h-max", "400", "--seed", "1",
+                       "--snapshots", "100,1500", "--edge-list", "--out-dir", str(tmp_path)])
+        assert proc.returncode == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["run_least_n200_seed1_t1500.svg"]
+
     def test_out_dir_from_environment(self, tmp_path):
         proc = invoke(["run", *FAST, "--seed", "2"],
                       env_extra={"USWSIM_OUT": str(tmp_path)})

@@ -1,23 +1,16 @@
+import hashlib
+import json
+
 import pytest
 
 from uswsim.engine import (
-    MessageLedger,
     Phase,
     World,
     detect_steady_state,
     phase_of,
-    record_message,
     run,
 )
-from uswsim.model import (
-    DO,
-    HOST,
-    Endpoint,
-    Message,
-    MessageKind,
-    PolicyKind,
-    SimConfig,
-)
+from uswsim.model import MessageKind, PolicyKind, SimConfig
 from uswsim.preservation import Family
 
 
@@ -155,8 +148,7 @@ class TestSteadyState:
         world = World(cfg)
         world.introduced = 3
         for do, home in ((1, 1), (2, 2), (3, 3)):
-            host = world.discover_host(home)
-            host.local_dos.append(do)
+            world.discover_host(home)
             fam = Family(do, home, cfg.r_min, cfg.r_max, 0)
             fam.connected = True
             world.families[do] = fam
@@ -200,28 +192,77 @@ class TestPhases:
 
 class TestMessageLedger:
     def test_bin_index_by_floor_division(self):
-        ledger = MessageLedger(bin_size=100)
-        msg = Message(MessageKind.CONTACT, Endpoint(DO, 1), Endpoint(DO, 2), 250)
-        record_message(ledger, msg)
-        assert ledger.do_sent_bins[1] == {2: 1}
-        assert ledger.do_received_bins[2] == {2: 1}
+        world = World(SimConfig(n_max=2, h_max=2, bin_size=100))
+        world.t = 250
+        world.send(MessageKind.CONTACT, 1, 2)
+        assert world.ledger.do_sent_bins == {1: {2: 1}}
+        assert world.ledger.do_received_bins == {2: {2: 1}}
+        assert world.ledger.sys_sent_bins == world.ledger.sys_received_bins == {2: 1}
 
     def test_each_message_counts_once_sent_once_received(self):
-        ledger = MessageLedger(bin_size=100)
+        world = World(SimConfig(n_max=2, h_max=2, bin_size=100))
         for t in range(7):
-            record_message(ledger, Message(MessageKind.CONTACT, Endpoint(DO, 1),
-                                           Endpoint(DO, 2), t))
+            world.t = t
+            world.send(MessageKind.CONTACT, 1, 2)
+        ledger = world.ledger
         assert ledger.total == 7
         assert ledger.total_sent == 7
         assert ledger.total_received == 7
+        assert ledger.do_sent == {1: 7}
+        assert ledger.do_received == {2: 7}
+        assert ledger.kind_counts == {MessageKind.CONTACT: 7}
 
     def test_host_endpoints_tracked_separately(self):
-        ledger = MessageLedger(bin_size=100)
-        record_message(ledger, Message(MessageKind.COPY_REQUEST, Endpoint(DO, 1),
-                                       Endpoint(HOST, 9), 10))
-        assert ledger.do_sent[1] == 1
-        assert ledger.host_received[9] == 1
+        world = World(SimConfig(n_max=2, h_max=10))
+        world.t = 10
+        world.send(MessageKind.COPY_REQUEST, 1, 9)
+        world.send(MessageKind.COPY_ACK, 9, 1)
+        ledger = world.ledger
+        assert ledger.do_sent == {1: 1}
+        assert ledger.host_received == {9: 1}
+        assert ledger.host_sent == {9: 1}
+        assert ledger.do_received == {1: 1}
         assert 9 not in ledger.do_received
+
+
+# Every view of the ledger for SimConfig(n_max=60, h_max=120, seed=8) under
+# each policy, as the earlier dict-per-view ledger reported them: kind counts,
+# phase counts, and the sha256 hex digest of
+# json.dumps({name: getattr(ledger, name) for name in LEDGER_VIEWS},
+# sort_keys=True).encode().
+LEDGER_VIEWS = ("do_sent", "do_received", "host_sent", "host_received", "do_sent_bins",
+                "do_received_bins", "sys_sent_bins", "sys_received_bins")
+PINNED_LEDGERS = {
+    PolicyKind.LEAST: (
+        {"contact": 108, "contact_reply": 108, "copy_ack": 266, "copy_deny": 109,
+         "copy_request": 375, "host_announce": 590, "link_ack": 231, "link_request": 231,
+         "sacrifice_directive": 73},
+        {"growth": 2047, "maintenance": 44},
+        "91488c0014acfe299d8f486d349ebcb3df2a5ecfa5a9674a0e03f0dd98d7e890"),
+    PolicyKind.MODERATE: (
+        {"contact": 106, "contact_reply": 106, "copy_ack": 354, "copy_deny": 105,
+         "copy_request": 459, "host_announce": 1114, "link_ack": 237, "link_request": 237,
+         "sacrifice_directive": 117},
+        {"growth": 2752, "maintenance": 83},
+        "55d15b122b00a4205ef507c7211bddad3f1b6ab753154d6cc792193465cee73c"),
+    PolicyKind.MOST: (
+        {"contact": 106, "contact_reply": 106, "copy_ack": 361, "copy_deny": 163,
+         "copy_request": 524, "host_announce": 1197, "link_ack": 237, "link_request": 237,
+         "sacrifice_directive": 120},
+        {"growth": 2940, "maintenance": 111},
+        "997699a0ad1bc3bf4d0a8695ddd74d8ed044fa54669f8db217968ffb5e9acd03"),
+}
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_ledger_views_pinned(policy):
+    kinds, phases, views_sha256 = PINNED_LEDGERS[policy]
+    ledger = run(SimConfig(n_max=60, h_max=120, seed=8, policy=policy)).ledger
+    assert {k.value: n for k, n in ledger.kind_counts.items()} == kinds
+    assert {p.value: n for p, n in ledger.phase_messages.items()} == phases
+    views = {name: getattr(ledger, name) for name in LEDGER_VIEWS}
+    dump = json.dumps(views, sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == views_sha256
 
 
 class TestEffectivenessSeries:

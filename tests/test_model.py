@@ -1,12 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from uswsim.engine import World
 from uswsim.model import (
-    DO,
-    HOST,
-    Endpoint,
     HostBand,
-    Message,
     MessageKind,
     NamedCondition,
     PreservationStatus,
@@ -158,14 +155,14 @@ class TestSimConfig:
 
 class TestMessage:
     def test_self_message_rejected(self):
-        ep = Endpoint(DO, 1)
+        world = World(SimConfig(n_max=2, h_max=2))
         with pytest.raises(ValueError):
-            Message(MessageKind.CONTACT, ep, ep, 0)
+            world.send(MessageKind.CONTACT, 1, 1)
+        assert world.ledger.total == 0
 
     def test_do_and_host_endpoints_differ(self):
-        m = Message(MessageKind.COPY_REQUEST, Endpoint(DO, 1), Endpoint(HOST, 1), 5)
-        assert m.frm != m.to
-
-    def test_bad_endpoint_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Endpoint("peer", 1)
+        # DO 1 and host 1 are different endpoints: the kind says which is which.
+        world = World(SimConfig(n_max=2, h_max=2))
+        world.send(MessageKind.COPY_REQUEST, 1, 1)
+        assert world.ledger.do_sent == {1: 1}
+        assert world.ledger.host_received == {1: 1}

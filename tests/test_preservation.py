@@ -21,8 +21,7 @@ def make_world(**overrides):
 
 
 def add_family(world, do, home, copies=(), r_min=None, r_max=None, connect=True):
-    host = world.discover_host(home)
-    host.local_dos.append(do)
+    world.discover_host(home)
     fam = Family(do, home, r_min or world.config.r_min, r_max or world.config.r_max, 0)
     fam.connected = connect
     world.families[do] = fam
