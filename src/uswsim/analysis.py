@@ -315,7 +315,7 @@ def emit_snapshot_svg(result: RunResult, t: int, path):
     gx, gy = half + 20, 40
     for h in range(1, cfg.h_max + 1):
         u = used.get(h, 0)
-        band = host_band(u, cfg.host_capacity, h in discovered, u > 0) \
+        band = host_band(u, cfg.host_capacity, h in discovered) \
             if cfg.host_capacity > 0 else (
                 HostBand.WHITE if h in discovered else HostBand.GREY)
         col = (h - 1) % cols

@@ -257,8 +257,8 @@ class World:
     def _move_band(self, host: Host, used_before: int):
         """Recount ``host`` from its band at ``used_before`` slots to its band now."""
         bands = self.host_band_counts
-        bands[host_band(used_before, host.capacity, True, used_before > 0).value] -= 1
-        bands[host_band(host.used, host.capacity, True, host.used > 0).value] += 1
+        bands[host_band(used_before, host.capacity, True).value] -= 1
+        bands[host_band(host.used, host.capacity, True).value] += 1
 
     def note_copy_added(self, fam: Family, host: Host):
         v_old = status_value(fam.copy_count - 1, fam.r_min, fam.r_max)

@@ -21,6 +21,10 @@ from .fileio import atomic_write
 # node, so the neighbour gather holds 2 * edges * 64 bytes at most.
 BFS_BLOCK = 512
 
+# Edges per chunk in clustering_coefficient: two gathered bitset rows of
+# ceil(nodes / 64) uint64 words each per edge, 256 KiB each at 2000 nodes.
+TRIANGLE_BLOCK = 1024
+
 
 class FriendshipGraph:
     """Undirected simple graph over DO ids (no self-loops, no parallel edges)."""
@@ -147,13 +151,8 @@ def wander_step(state: WanderState, graph: FriendshipGraph, link_probability: fl
         state.connected = True
         return Linked(cur)
 
-    # Move target pool: gleaned candidates plus the current node's friends,
-    # deduplicated, in glean-then-sorted-friends order.
-    pool = list(state.candidates)
-    seen = state._candidate_set
-    extra = [f for f in sorted(friends) if f not in seen]
-    pool.extend(extra)
-    state.current = pool[rng.randrange(len(pool))]
+    # A wanderer has no edges, so glean has just put every friend into the candidates.
+    state.current = state.candidates[rng.randrange(len(state.candidates))]
     return Moved(state.current)
 
 
@@ -204,25 +203,44 @@ def grow_graph(n: int, link_probability: float = 0.5, extra_link_fraction: float
 def clustering_coefficient(graph: FriendshipGraph) -> float:
     """Mean over nodes of realized / possible edges among each node's neighbors.
 
-    Nodes with fewer than two neighbors contribute zero.
+    Nodes with fewer than two neighbors contribute zero.  Triangles are
+    counted exactly, edge by edge: each node keeps its neighbour set as a
+    row of uint64 words, and an edge u-v closes popcount(row_u & row_v)
+    triangles.
     """
-    if len(graph) == 0:
+    nodes = list(graph.adj)
+    n = len(nodes)
+    if n == 0:
         raise ValueError("clustering coefficient of an empty graph")
+    degrees, indices = _csr(graph, nodes)
+    rows = np.repeat(np.arange(n, dtype=np.int32), degrees)
+    # Each undirected edge once, as u < v by row.  Only this half is kept,
+    # to hold down peak memory.
+    upper = rows < indices
+    us, vs = rows[upper], indices[upper]
+    del rows, indices, upper
+    bitsets = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    for a, b in ((us, vs), (vs, us)):
+        np.bitwise_or.at(bitsets, (a, b // 64), np.uint64(1) << (b % 64).astype(np.uint64))
+
+    closed = np.empty(len(us), dtype=np.int64)
+    for first in range(0, len(us), TRIANGLE_BLOCK):
+        chunk = slice(first, first + TRIANGLE_BLOCK)
+        common = bitsets[us[chunk]]
+        common &= bitsets[vs[chunk]]
+        closed[chunk] = np.bitwise_count(common).sum(axis=1)
+
+    # A link v-w among u's neighbours closes triangle u-v-w, which edges
+    # u-v and u-w both count.  The terms are added one at a time in
+    # graph.adj order, as a plain float sum.
+    twice_links = np.bincount(us, closed, n) + np.bincount(vs, closed, n)
+    links_per_node = (twice_links.astype(np.int64) // 2).tolist()
     total = 0.0
-    for u in graph.adj:
-        neigh = graph.adj[u]
-        k = len(neigh)
+    for k, links in zip(degrees.tolist(), links_per_node):
         if k < 2:
             continue
-        nl = sorted(neigh)
-        links = 0
-        for i, v in enumerate(nl):
-            adj_v = graph.adj[v]
-            for w in nl[i + 1:]:
-                if w in adj_v:
-                    links += 1
         total += 2.0 * links / (k * (k - 1))
-    return total / len(graph)
+    return total / n
 
 
 def avg_path_length(graph: FriendshipGraph) -> tuple[float, bool]:
@@ -243,12 +261,9 @@ def avg_path_length(graph: FriendshipGraph) -> tuple[float, bool]:
     if m == 1:
         return 0.0, disconnected
 
-    index = {u: i for i, u in enumerate(comp)}
-    degrees = np.fromiter((len(graph.adj[u]) for u in comp), dtype=np.int64, count=m)
+    degrees, indices = _csr(graph, comp)
     starts = np.zeros(m, dtype=np.int64)
     np.cumsum(degrees[:-1], out=starts[1:])
-    indices = np.fromiter((index[v] for u in comp for v in graph.adj[u]),
-                          dtype=np.int64, count=int(degrees.sum()))
 
     total = 0
     for first in range(0, m, BFS_BLOCK):
@@ -273,6 +288,19 @@ def avg_path_length(graph: FriendshipGraph) -> tuple[float, bool]:
     # Each unordered pair was counted twice.
     pairs = m * (m - 1) / 2
     return total / 2.0 / pairs, disconnected
+
+
+def _csr(graph: FriendshipGraph, nodes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency of ``nodes`` in compressed sparse rows: node ``nodes[i]``
+    is row i, and its neighbours' rows fill ``degrees[i]`` consecutive
+    entries of the flat index array, rows in order.  Every neighbour must
+    itself be in ``nodes``."""
+    index = {u: i for i, u in enumerate(nodes)}
+    degrees = np.fromiter((len(graph.adj[u]) for u in nodes), dtype=np.int64,
+                          count=len(nodes))
+    indices = np.fromiter((index[v] for u in nodes for v in graph.adj[u]),
+                          dtype=np.intp, count=int(degrees.sum()))
+    return degrees, indices
 
 
 def _largest_component(graph: FriendshipGraph) -> list[int]:

@@ -163,7 +163,7 @@ def status_value(c: int, r_min: int, r_max: int) -> int:
     return status_of(c, r_min, r_max).numeric
 
 
-def host_band(used: int, capacity: int, discovered: bool, hosting_any: bool) -> HostBand:
+def host_band(used: int, capacity: int, discovered: bool) -> HostBand:
     """Color band for one host's slot usage.
 
     Undiscovered hosts are grey regardless of anything else; discovered but

@@ -1,3 +1,4 @@
+import hashlib
 from collections import deque
 from random import Random
 
@@ -184,6 +185,53 @@ class TestClusteringCoefficient:
         with pytest.raises(ValueError):
             clustering_coefficient(FriendshipGraph())
 
+    def test_matches_triangle_oracle(self):
+        # Random graphs on both sides of the 64-bit word boundaries of the
+        # neighbour bitsets, a complete graph, isolated and degree-1 nodes,
+        # and non-contiguous ids whose graph.adj order is not sorted.
+        cases = {
+            "n63": uniform_random_graph(63, 252, Random(1)),
+            "n64": uniform_random_graph(64, 256, Random(2)),
+            "n65": uniform_random_graph(65, 260, Random(3)),
+            "n129": uniform_random_graph(129, 516, Random(4)),
+            "n130": uniform_random_graph(130, 520, Random(5)),
+            "complete-70": graph_of([(u, v) for u in range(70) for v in range(u + 1, 70)]),
+            "isolated-and-leaves": graph_of(
+                [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6), (6, 7)],
+                nodes=range(1, 12)),
+            "unsorted-ids": graph_of([(500, 7), (42, 3), (7, 3), (3, 500), (42, 500),
+                                      (7, 42), (900, 3), (8, 500)]),
+        }
+        assert list(cases["unsorted-ids"].adj) == [500, 7, 42, 3, 900, 8]
+        for name, graph in cases.items():
+            assert clustering_coefficient(graph) == triangle_oracle(graph), name
+
+    @pytest.mark.parametrize("n, seed, expected, baseline", [
+        (500, 11, 0.25880155818081624, 0.048508575965168464),
+        (2000, 12, 0.1986287248948256, 0.0234125914602872),
+    ])
+    def test_grown_graph_value_pinned(self, n, seed, expected, baseline):
+        g = grow_graph(n, seed=seed)
+        assert clustering_coefficient(g) == expected
+        base = uniform_random_graph(n, g.edge_count, Random(seed + 10_000))
+        assert clustering_coefficient(base) == baseline
+
+
+def triangle_oracle(g):
+    """Per-node integer count of links among neighbours, each term added
+    in graph.adj order."""
+    total = 0.0
+    for u in g.adj:
+        neigh = sorted(g.adj[u])
+        k = len(neigh)
+        if k < 2:
+            continue
+        links = 0
+        for i, v in enumerate(neigh):
+            links += sum(1 for w in neigh[i + 1:] if w in g.adj[v])
+        total += 2.0 * links / (k * (k - 1))
+    return total / len(g)
+
 
 class TestAvgPathLength:
     def test_triangle(self):
@@ -284,6 +332,15 @@ class TestGrowGraph:
             g = grow_graph(80, seed=seed)
             _, disconnected = avg_path_length(g)
             assert not disconnected
+
+    def test_edge_list_pinned(self):
+        # sha256 of "\n".join(f"{u} {v}" for u, v in grow_graph(300, seed=5).edges()),
+        # UTF-8 encoded: any shift in the wander's random draws changes it.
+        g = grow_graph(300, seed=5)
+        text = "\n".join(f"{u} {v}" for u, v in g.edges())
+        assert g.edge_count == 2667
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6a071283c4f3dcec4806a29f0a0b2c67db7684e4cf0e7bd2af8b50e58eb0eae4")
 
 
 class TestUniformRandomGraph:
