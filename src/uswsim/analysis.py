@@ -1,5 +1,5 @@
-"""Post-run analytics and serialization: effectiveness scoring, tree-ring
-layout, scaling fits, CSV/JSON emission and snapshot SVGs.
+"""Post-run analytics and serialization: tree-ring layout, scaling fits,
+CSV/JSON emission and snapshot SVGs.
 
 Everything here is a pure transform of a completed RunResult, so exports
 are trivially reproducible: the same run yields byte-identical files.
@@ -16,13 +16,6 @@ import numpy as np
 from .engine import Phase, RunResult
 from .fileio import atomic_write
 from .model import HostBand, host_band, status_value
-
-
-@dataclass(frozen=True)
-class EffectivenessPoint:
-    t: int
-    effectiveness: float
-    cumulative_messages: int
 
 
 @dataclass(frozen=True)
@@ -43,18 +36,6 @@ class ScalingFit:
     marginal_slope: float | None
 
 
-def effectiveness(families) -> float:
-    """Mean preservation score over families, scaled to [0, 1].
-
-    Each family contributes its status rank 1..4 mapped onto 0..1.
-    """
-    if not families:
-        raise ValueError("effectiveness of zero families")
-    total = sum(status_value(f.copy_count, f.r_min, f.r_max) for f in families.values())
-    n = len(families)
-    return (total - n) / (3 * n)
-
-
 def ring_capacity(ring: int) -> int:
     return 1 if ring == 0 else 8 * ring
 
@@ -66,7 +47,6 @@ def tree_ring_layout(dos: list[int]) -> TreeRingLayout:
     angle zero.
     """
     positions = {}
-    capacities = []
     ring = 0
     slot = 0
     cap = ring_capacity(0)
@@ -75,7 +55,6 @@ def tree_ring_layout(dos: list[int]) -> TreeRingLayout:
             ring += 1
             slot = 0
             cap = ring_capacity(ring)
-            capacities.append(ring_capacity(ring - 1))
         positions[do] = (ring, slot)
         slot += 1
     capacities = [ring_capacity(r) for r in range(ring + 1)]
@@ -134,8 +113,9 @@ def emit_timeseries_csv(result: RunResult, path):
                 phase = "growth" if boundary is None or t < boundary else "maintenance"
                 do_f = result.status_series[i]
                 ho_f = result.host_series[i]
-                row = [str(t), phase, f"{result.effectiveness_series[i]:.6f}",
-                       str(result.cum_sent_series[i]), str(result.cum_received_series[i])]
+                # Every message is received when it is sent: cum_received == cum_sent.
+                cum = str(result.cum_sent_series[i])
+                row = [str(t), phase, f"{result.effectiveness_series[i]:.6f}", cum, cum]
                 row += [f"{v:.6f}" for v in do_f]
                 row += [f"{v:.6f}" for v in ho_f]
                 fh.write(",".join(row) + "\n")
@@ -143,21 +123,11 @@ def emit_timeseries_csv(result: RunResult, path):
         raise OSError(f"writing timeseries CSV to {path}: {exc}") from exc
 
 
-def cost_curve(result: RunResult) -> list[EffectivenessPoint]:
-    """Effectiveness against cumulative message volume, one point per bin."""
-    return [EffectivenessPoint(t, e, m)
-            for t, e, m in zip(result.bin_ts, result.effectiveness_series,
-                               result.cum_sent_series)]
-
-
 def summary_dict(result: RunResult) -> dict:
-    fams = result.families
     hosts = result.hosts
     h_max = result.config.h_max
-    status_counts = [0, 0, 0, 0]
-    for f in fams.values():
-        status_counts[status_value(f.copy_count, f.r_min, f.r_max) - 1] += 1
-    n = len(fams)
+    # run() always samples a last bin at final_t, over every family.
+    none_made, partial, at_min, at_max = result.status_series[-1]
     full = sum(1 for h in hosts.values() if h.free_slots == 0)
     white = sum(1 for h in hosts.values() if h.used == 0)
     ledger = result.ledger
@@ -187,10 +157,10 @@ def summary_dict(result: RunResult) -> dict:
         },
         "final_effectiveness": round(result.final_effectiveness, 6),
         "status_fractions": {
-            "none_made": round(status_counts[0] / n, 6),
-            "partial": round(status_counts[1] / n, 6),
-            "at_min": round(status_counts[2] / n, 6),
-            "at_max": round(status_counts[3] / n, 6),
+            "none_made": round(none_made, 6),
+            "partial": round(partial, 6),
+            "at_min": round(at_min, 6),
+            "at_max": round(at_max, 6),
         },
         "hosts": {
             "universe": h_max,
@@ -201,7 +171,7 @@ def summary_dict(result: RunResult) -> dict:
             "holding_no_copies": white,
         },
         "graph_edges": result.graph.edge_count,
-        "copies_held": sum(f.copy_count for f in fams.values()),
+        "copies_held": sum(f.copy_count for f in result.families.values()),
         "placements": result.placements,
         "sacrifices": result.sacrifices,
         "denials": result.denials,
@@ -222,14 +192,11 @@ def snapshot_state(result: RunResult, t: int):
     if t < 0 or t > result.final_t:
         raise ValueError(f"snapshot t={t} outside run of length {result.final_t}")
     copies = {do: 0 for do, f in result.families.items() if f.intro_t <= t}
-    for et, do, delta in result.copy_events:
+    used = {}
+    for et, do, host, delta in result.copy_events:
         if et > t:
             break
         copies[do] = copies.get(do, 0) + delta
-    used = {}
-    for et, host, delta in result.host_use_events:
-        if et > t:
-            break
         used[host] = used.get(host, 0) + delta
     discovered = {h for et, h in result.discovery_events if et <= t}
     return copies, used, discovered
@@ -314,10 +281,7 @@ def emit_snapshot_svg(result: RunResult, t: int, path):
     cell = min((half - 40) / cols, plot_h / rows)
     gx, gy = half + 20, 40
     for h in range(1, cfg.h_max + 1):
-        u = used.get(h, 0)
-        band = host_band(u, cfg.host_capacity, h in discovered) \
-            if cfg.host_capacity > 0 else (
-                HostBand.WHITE if h in discovered else HostBand.GREY)
+        band = host_band(used.get(h, 0), cfg.host_capacity, h in discovered)
         col = (h - 1) % cols
         row = (h - 1) // cols
         parts.append(f'<rect x="{gx + col * cell:.2f}" y="{gy + row * cell:.2f}" '

@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import replace
+from statistics import median
 
 from .analysis import (
     emit_snapshot_svg,
@@ -125,15 +125,15 @@ def config_from_args(args) -> SimConfig:
         if unknown:
             raise UsageError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
 
-    def pick(flag, attr):
-        cli_val = getattr(args, attr)
+    def pick(key):
+        cli_val = getattr(args, key)
         if cli_val is not None:
             return cli_val
-        if flag in file_vals:
-            return file_vals[flag]
-        return getattr(DEFAULTS, _CONFIG_ATTR[attr])
+        if key in file_vals:
+            return file_vals[key]
+        return getattr(DEFAULTS, _CONFIG_ATTR[key])
 
-    policy_name = pick("policy", "policy")
+    policy_name = pick("policy")
     if isinstance(policy_name, str):
         if policy_name not in POLICY_NAMES:
             raise UsageError(f"unknown policy {policy_name!r}")
@@ -142,18 +142,18 @@ def config_from_args(args) -> SimConfig:
         policy_kind = policy_name
     try:
         return SimConfig(
-            n_max=int(pick("n_max", "n_max")),
-            h_max=int(pick("h_max", "h_max")),
-            r_min=int(pick("r_min", "r_min")),
-            r_max=int(pick("r_max", "r_max")),
-            host_capacity=int(pick("capacity", "capacity")),
+            n_max=int(pick("n_max")),
+            h_max=int(pick("h_max")),
+            r_min=int(pick("r_min")),
+            r_max=int(pick("r_max")),
+            host_capacity=int(pick("capacity")),
             policy=policy_kind,
-            seed=int(pick("seed", "seed")),
-            bin_size=int(pick("bin_size", "bin_size")),
-            intro_interval=int(pick("intro_interval", "intro_interval")),
-            link_probability=float(pick("link_prob", "link_prob")),
-            extra_link_fraction=float(pick("extra_link_frac", "extra_link_frac")),
-            max_events=int(pick("max_events", "max_events")),
+            seed=int(pick("seed")),
+            bin_size=int(pick("bin_size")),
+            intro_interval=int(pick("intro_interval")),
+            link_probability=float(pick("link_prob")),
+            extra_link_fraction=float(pick("extra_link_frac")),
+            max_events=int(pick("max_events")),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -234,10 +234,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _median(values):
-    return statistics.median(values)
-
-
 def compare_policies(policies, base_config: SimConfig, seeds, jobs=1):
     """Per-policy medians over a shared seed set, plus the Most/Moderate
     message ratio when both are present."""
@@ -255,13 +251,13 @@ def compare_policies(policies, base_config: SimConfig, seeds, jobs=1):
     for pol, rows in by_policy.items():
         table[pol.value] = {
             "seeds": len(rows),
-            "median_steady_state_t": _median([r["steady_state_t"] or r["final_t"]
-                                              for r in rows]),
-            "median_total_messages": _median([r["messages"]["total"] for r in rows]),
-            "median_final_effectiveness": _median([r["final_effectiveness"] for r in rows]),
-            "median_hosts_with_unused_capacity": _median(
+            "median_steady_state_t": median([r["steady_state_t"] or r["final_t"]
+                                             for r in rows]),
+            "median_total_messages": median([r["messages"]["total"] for r in rows]),
+            "median_final_effectiveness": median([r["final_effectiveness"] for r in rows]),
+            "median_hosts_with_unused_capacity": median(
                 [r["hosts"]["with_unused_capacity"] for r in rows]),
-            "median_zero_copy_fraction": _median(
+            "median_zero_copy_fraction": median(
                 [r["status_fractions"]["none_made"] for r in rows]),
         }
     report = {"policies": table, "seed_count": len(seeds)}

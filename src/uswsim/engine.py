@@ -23,7 +23,7 @@ from random import Random
 
 import numpy as np
 
-from .graph import FriendshipGraph, Linked, WanderState, finalize_links, start_wander, wander_step
+from .graph import FriendshipGraph, WanderState, finalize_links, start_wander, wander_step
 from .model import (
     MessageKind,
     NamedCondition,
@@ -174,13 +174,11 @@ class RunResult:
     host_series: list[tuple[float, float, float, float, float, float]]
     effectiveness_series: list[float]
     cum_sent_series: list[int]
-    cum_received_series: list[int]
     ledger: MessageLedger
     graph: FriendshipGraph
     families: dict[int, Family]
     hosts: dict[int, Host]
-    copy_events: list[tuple[int, int, int]]
-    host_use_events: list[tuple[int, int, int]]
+    copy_events: list[tuple[int, int, int, int]]
     discovery_events: list[tuple[int, int]]
     placements: int
     sacrifices: int
@@ -219,15 +217,13 @@ class World:
         self.terminated_by = "incomplete"
 
         # Live aggregates for O(1) sampling and conservation checks.
-        self.status_value_sum = 0
         self.status_counts = [0, 0, 0, 0]
         self.copies_total = 0
         self.slots_used_total = 0
         self.host_band_counts = {"white": 0, "red": 0, "yellow": 0, "green": 0, "blue": 0}
 
         # Event trails for snapshot reconstruction.
-        self.copy_events: list[tuple[int, int, int]] = []
-        self.host_use_events: list[tuple[int, int, int]] = []
+        self.copy_events: list[tuple[int, int, int, int]] = []
         self.discovery_events: list[tuple[int, int]] = []
 
         self.placements = 0
@@ -240,7 +236,6 @@ class World:
         self.host_series: list[tuple[float, float, float, float, float, float]] = []
         self.effectiveness_series: list[float] = []
         self.cum_sent_series: list[int] = []
-        self.cum_received_series: list[int] = []
 
     # ----- ledger / bookkeeping hooks used by preservation ---------------
 
@@ -260,32 +255,20 @@ class World:
         bands[host_band(used_before, host.capacity, True).value] -= 1
         bands[host_band(host.used, host.capacity, True).value] += 1
 
-    def note_copy_added(self, fam: Family, host: Host):
-        v_old = status_value(fam.copy_count - 1, fam.r_min, fam.r_max)
+    def note_copy(self, fam: Family, host: Host, delta: int):
+        """Book a copy of ``fam`` just stored on (+1) or removed from (-1) ``host``."""
+        v_old = status_value(fam.copy_count - delta, fam.r_min, fam.r_max)
         v_new = status_value(fam.copy_count, fam.r_min, fam.r_max)
-        self.status_value_sum += v_new - v_old
         self.status_counts[v_old - 1] -= 1
         self.status_counts[v_new - 1] += 1
-        self.copies_total += 1
-        self.slots_used_total += 1
-        self._move_band(host, host.used - 1)
-        self.copy_events.append((self.t, fam.do_id, 1))
-        self.host_use_events.append((self.t, host.host_id, 1))
-        self.placements += 1
+        self.copies_total += delta
+        self.slots_used_total += delta
+        self._move_band(host, host.used - delta)
+        self.copy_events.append((self.t, fam.do_id, host.host_id, delta))
+        if delta > 0:
+            self.placements += 1
 
-    def note_copy_removed(self, fam: Family, host: Host):
-        v_old = status_value(fam.copy_count + 1, fam.r_min, fam.r_max)
-        v_new = status_value(fam.copy_count, fam.r_min, fam.r_max)
-        self.status_value_sum += v_new - v_old
-        self.status_counts[v_old - 1] -= 1
-        self.status_counts[v_new - 1] += 1
-        self.copies_total -= 1
-        self.slots_used_total -= 1
-        self._move_band(host, host.used + 1)
-        self.copy_events.append((self.t, fam.do_id, -1))
-        self.host_use_events.append((self.t, host.host_id, -1))
-
-    def note_sacrifice(self, donor: int, host_id: int, beneficiary: int):
+    def note_sacrifice(self, donor: int):
         self.sacrifices += 1
         donor_fam = self.families[donor]
         if not donor_fam.pending and donor_fam.copy_count < donor_fam.r_max:
@@ -316,7 +299,6 @@ class World:
         fam = Family(do, home, self.config.r_min, self.config.r_max, self.t)
         self.families[do] = fam
         self.status_counts[0] += 1
-        self.status_value_sum += 1
         state = start_wander(do, self.graph, self.connected_order, self.rng)
         if state.connected:
             self._connect(fam, state)
@@ -341,8 +323,7 @@ class World:
         self.send(MessageKind.CONTACT, do, visited)
         self.send(MessageKind.CONTACT_REPLY, visited, do)
         cap = 10 * max(len(self.graph), 1)
-        outcome = wander_step(state, self.graph, self.config.link_probability, self.rng, cap)
-        if isinstance(outcome, Linked):
+        if wander_step(state, self.graph, self.config.link_probability, self.rng, cap):
             edges = finalize_links(state, self.graph, self.config.extra_link_fraction, self.rng)
             for u, v in edges:
                 self.send(MessageKind.LINK_REQUEST, u, v)
@@ -448,7 +429,8 @@ class World:
         n = self.introduced
         if n:
             fracs = tuple(c / n for c in self.status_counts)
-            eff = (self.status_value_sum - n) / (3 * n)
+            rank_sum = sum(rank * c for rank, c in enumerate(self.status_counts, 1))
+            eff = (rank_sum - n) / (3 * n)
         else:
             fracs = (0.0, 0.0, 0.0, 0.0)
             eff = 0.0
@@ -463,7 +445,6 @@ class World:
         ))
         self.effectiveness_series.append(eff)
         self.cum_sent_series.append(self.ledger.total)
-        self.cum_received_series.append(self.ledger.total)
 
 
 def phase_of(world: World) -> Phase:
@@ -540,13 +521,11 @@ def run(config: SimConfig, invariant_hook=None) -> RunResult:
         host_series=world.host_series,
         effectiveness_series=world.effectiveness_series,
         cum_sent_series=world.cum_sent_series,
-        cum_received_series=world.cum_received_series,
         ledger=world.ledger,
         graph=world.graph,
         families=world.families,
         hosts=world.hosts,
         copy_events=world.copy_events,
-        host_use_events=world.host_use_events,
         discovery_events=world.discovery_events,
         placements=world.placements,
         sacrifices=world.sacrifices,

@@ -104,20 +104,6 @@ class WanderState:
                 self.candidates.append(f)
 
 
-class Linked:
-    __slots__ = ("to",)
-
-    def __init__(self, to):
-        self.to = to
-
-
-class Moved:
-    __slots__ = ("to",)
-
-    def __init__(self, to):
-        self.to = to
-
-
 def start_wander(do_id: int, graph: FriendshipGraph, connected_nodes: list[int],
                  rng: Random) -> WanderState:
     """Begin a wander at a uniformly chosen existing node.
@@ -133,11 +119,12 @@ def start_wander(do_id: int, graph: FriendshipGraph, connected_nodes: list[int],
 
 
 def wander_step(state: WanderState, graph: FriendshipGraph, link_probability: float,
-                rng: Random, max_steps: int) -> Linked | Moved:
+                rng: Random, max_steps: int) -> bool:
     """One contact: glean the visited node's friends, then link or move on.
 
-    Links unconditionally when there is nowhere left to go or the safety
-    cap on walk length is reached.
+    Returns True when the wanderer linked to the visited node, False when
+    it moved to a gleaned candidate.  Links unconditionally when there is
+    nowhere left to go or the safety cap on walk length is reached.
     """
     if state.connected:
         raise ValueError("wanderer is already connected")
@@ -149,11 +136,11 @@ def wander_step(state: WanderState, graph: FriendshipGraph, link_probability: fl
     forced = (not state.candidates and not friends) or state.steps >= max_steps
     if forced or rng.random() < link_probability:
         state.connected = True
-        return Linked(cur)
+        return True
 
     # A wanderer has no edges, so glean has just put every friend into the candidates.
     state.current = state.candidates[rng.randrange(len(state.candidates))]
-    return Moved(state.current)
+    return False
 
 
 def finalize_links(state: WanderState, graph: FriendshipGraph,

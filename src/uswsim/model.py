@@ -84,24 +84,7 @@ class Reason(enum.Enum):
     """Why a family is attempting to place copies."""
 
     FIRST_CONNECTION = "first_connection"
-    OPPORTUNISTIC = "opportunistic"
     REPLENISH = "replenish"
-
-
-@dataclass(frozen=True)
-class ReplicaRef:
-    """One stored replica: copy_index 0 is the parent, >0 a preservation copy."""
-
-    do_id: int
-    copy_index: int
-    host_id: int
-
-
-@dataclass(frozen=True)
-class SacrificeDecision:
-    donor: int
-    victim_host: int
-    beneficiary: int
 
 
 @dataclass(frozen=True)

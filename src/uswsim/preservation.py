@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import enum
 
-from .model import MessageKind, PolicyKind, ReplicaRef, SacrificeDecision
+from .model import MessageKind, PolicyKind
 
 
 class Family:
     """A parent DO plus the preservation copies it has placed elsewhere."""
 
     __slots__ = ("do_id", "home_host", "r_min", "r_max", "copies",
-                 "next_copy_index", "known_hosts", "believed_free", "pending",
+                 "known_hosts", "believed_free", "pending",
                  "chase_target", "connected", "intro_t", "connect_t")
 
     def __init__(self, do_id: int, home_host: int, r_min: int, r_max: int, intro_t: int):
@@ -30,8 +30,7 @@ class Family:
         self.home_host = home_host
         self.r_min = r_min
         self.r_max = r_max
-        self.copies: dict[int, int] = {}     # host_id -> copy_index
-        self.next_copy_index = 1
+        self.copies: set[int] = set()        # hosts holding a preservation copy
         self.known_hosts: set[int] = {home_host}
         # What this family last heard about each host's open slots.  Hosts
         # it has never dealt with are assumed wide open; slot counts only
@@ -47,12 +46,6 @@ class Family:
     def copy_count(self) -> int:
         return len(self.copies)
 
-    def parent_ref(self) -> ReplicaRef:
-        return ReplicaRef(self.do_id, 0, self.home_host)
-
-    def copy_refs(self) -> list[ReplicaRef]:
-        return [ReplicaRef(self.do_id, idx, h) for h, idx in sorted(self.copies.items())]
-
 
 class Host:
     """A discovered storage node: unbounded local DOs, finite foreign slots."""
@@ -62,7 +55,7 @@ class Host:
     def __init__(self, host_id: int, capacity: int):
         self.host_id = host_id
         self.capacity = capacity
-        self.foreign: dict[int, int] = {}    # do_id -> copy_index
+        self.foreign: set[int] = set()       # DOs holding a copy here
 
     @property
     def used(self) -> int:
@@ -71,9 +64,6 @@ class Host:
     @property
     def free_slots(self) -> int:
         return self.capacity - len(self.foreign)
-
-    def foreign_refs(self) -> list[ReplicaRef]:
-        return [ReplicaRef(d, idx, self.host_id) for d, idx in sorted(self.foreign.items())]
 
 
 class PlaceOutcome(enum.Enum):
@@ -113,8 +103,7 @@ def candidate_hosts(family: Family, world) -> list[int]:
     for friend in world.graph.neighbors(family.do_id):
         pool.add(world.families[friend].home_host)
     pool.discard(family.home_host)
-    for h in family.copies:
-        pool.discard(h)
+    pool -= family.copies
     cap = world.config.host_capacity
     believed = family.believed_free
     ranked = [(-believed.get(h, cap), h) for h in pool]
@@ -145,11 +134,9 @@ def place_copy(family: Family, host_id: int, world) -> PlaceOutcome:
 
 
 def _store_replica(family: Family, host: Host, world):
-    idx = family.next_copy_index
-    family.next_copy_index += 1
-    family.copies[host.host_id] = idx
-    host.foreign[family.do_id] = idx
-    world.note_copy_added(family, host)
+    family.copies.add(host.host_id)
+    host.foreign.add(family.do_id)
+    world.note_copy(family, host, 1)
 
 
 def eligible_donor(host: Host, world) -> int | None:
@@ -171,11 +158,12 @@ def eligible_donor(host: Host, world) -> int | None:
     return best
 
 
-def try_sacrifice(beneficiary: Family, host_id: int, world) -> SacrificeDecision | None:
+def try_sacrifice(beneficiary: Family, host_id: int, world) -> int | None:
     """Swap a surplus resident's copy for one of the beneficiary's.
 
     The host removes the donor's replica, stores the beneficiary's, and
     directs the donor to replenish later.  Slot usage is unchanged.
+    Returns the donor's id, or None when no resident may donate.
     """
     host = world.hosts[host_id]
     if host.free_slots > 0:
@@ -186,15 +174,15 @@ def try_sacrifice(beneficiary: Family, host_id: int, world) -> SacrificeDecision
     if donor_id is None:
         return None
     donor = world.families[donor_id]
-    del host.foreign[donor_id]
-    del donor.copies[host_id]
-    world.note_copy_removed(donor, host)
+    host.foreign.remove(donor_id)
+    donor.copies.remove(host_id)
+    world.note_copy(donor, host, -1)
     world.send(MessageKind.SACRIFICE_DIRECTIVE, host_id, donor_id)
     _store_replica(beneficiary, host, world)
     beneficiary.believed_free[host_id] = 0
     donor.believed_free[host_id] = 0
-    world.note_sacrifice(donor_id, host_id, beneficiary.do_id)
-    return SacrificeDecision(donor_id, host_id, beneficiary.do_id)
+    world.note_sacrifice(donor_id)
+    return donor_id
 
 
 def announce_new_host(family: Family, host_id: int, world) -> int:

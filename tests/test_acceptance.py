@@ -72,8 +72,8 @@ class Instrumentation:
             if fam.home_host in fam.copies:
                 self.violations.append(f"family {do} copied onto its own host")
             copies_sum += fam.copy_count
-            for host_id, idx in fam.copies.items():
-                if world.hosts[host_id].foreign.get(do) != idx:
+            for host_id in fam.copies:
+                if do not in world.hosts[host_id].foreign:
                     self.violations.append(f"family {do} and host {host_id} disagree")
         used_sum = 0
         for host in world.hosts.values():
@@ -94,13 +94,13 @@ class Instrumentation:
         if benef_before >= beneficiary.r_min:
             self.violations.append("sacrifice requested for satisfied family")
         donor_before = world.families[expected].copy_count if expected else None
-        decision = real_try_sacrifice(beneficiary, host_id, world)
-        if decision is None:
+        donor_id = real_try_sacrifice(beneficiary, host_id, world)
+        if donor_id is None:
             if expected is not None:
                 self.violations.append("eligible donor ignored")
             return None
-        donor = world.families[decision.donor]
-        if decision.donor != expected:
+        donor = world.families[donor_id]
+        if donor_id != expected:
             self.violations.append("donor selection mismatch")
         if donor_before is None or donor_before <= donor.r_min:
             self.violations.append("family at or below r_min donated")
@@ -112,7 +112,7 @@ class Instrumentation:
             self.violations.append("beneficiary gained wrong number of copies")
         if host.used != used_before:
             self.violations.append("sacrifice changed slot usage")
-        return decision
+        return donor_id
 
     def guarded_place_copy(self, fam, host_id, world):
         if host_id in fam.copies or host_id == fam.home_host:

@@ -4,8 +4,6 @@ import pytest
 
 from uswsim.analysis import (
     CSV_HEADER,
-    cost_curve,
-    effectiveness,
     emit_snapshot_svg,
     emit_summary_json,
     emit_timeseries_csv,
@@ -15,34 +13,34 @@ from uswsim.analysis import (
     summary_dict,
     tree_ring_layout,
 )
-from uswsim.engine import run
-from uswsim.model import PolicyKind, SimConfig
-from uswsim.preservation import Family
+from uswsim.engine import World, run
+from uswsim.model import PolicyKind, SimConfig, status_value
+from uswsim.preservation import Family, _store_replica
 
 
-def family_with(copies, r_min=3, r_max=5):
-    fam = Family(1, 999, r_min, r_max, 0)
-    for i in range(copies):
-        fam.copies[i + 1] = i + 1
-    return fam
+def effectiveness_of(copy_counts, r_min=3, r_max=5):
+    """What World.sample_bin scores for families holding these copy counts."""
+    world = World(SimConfig(n_max=len(copy_counts), h_max=100, r_min=r_min, r_max=r_max))
+    for do, count in enumerate(copy_counts, 1):
+        fam = Family(do, world.discover_host(do).host_id, r_min, r_max, 0)
+        world.families[do] = fam
+        world.introduced = do
+        world.status_counts[0] += 1
+        for i in range(count):
+            _store_replica(fam, world.discover_host(10 * do + i + 20), world)
+    world.sample_bin()
+    return world.effectiveness_series[-1]
 
 
 class TestEffectiveness:
     def test_all_at_max_is_one(self):
-        fams = {i: family_with(5) for i in range(1, 4)}
-        assert effectiveness(fams) == pytest.approx(1.0)
+        assert effectiveness_of([5, 5, 5]) == pytest.approx(1.0)
 
     def test_all_none_is_zero(self):
-        fams = {i: family_with(0) for i in range(1, 4)}
-        assert effectiveness(fams) == pytest.approx(0.0)
+        assert effectiveness_of([0, 0, 0]) == pytest.approx(0.0)
 
     def test_mixed_partial_and_max(self):
-        fams = {1: family_with(2), 2: family_with(5)}
-        assert effectiveness(fams) == pytest.approx(2 / 3)
-
-    def test_no_families_rejected(self):
-        with pytest.raises(ValueError):
-            effectiveness({})
+        assert effectiveness_of([2, 5]) == pytest.approx(2 / 3)
 
 
 class TestTreeRingLayout:
@@ -138,6 +136,16 @@ class TestTimeseriesCsv:
         ts = [int(line.split(",")[0]) for line in path.read_text().splitlines()[1:]]
         assert ts == sorted(ts)
 
+    def test_cum_messages_monotone(self, small_run, tmp_path):
+        # The CSV is the cost curve: effectiveness against cumulative messages.
+        path = tmp_path / "ts.csv"
+        emit_timeseries_csv(small_run, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        sent = [int(row[3]) for row in rows]
+        assert sent == sorted(sent)
+        assert sent[-1] == small_run.ledger.total
+        assert [int(row[4]) for row in rows] == sent
+
     def test_rerun_identical_bytes(self, tmp_path):
         cfg = SimConfig(n_max=30, h_max=60, seed=12)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -179,10 +187,21 @@ class TestSummaryJson:
         assert int(last[3]) == summ["messages"]["growth"] + summ["messages"]["maintenance"]
         assert int(last[4]) == summ["messages"]["total"]
 
-    def test_cost_curve_monotone_messages(self, small_run):
-        curve = cost_curve(small_run)
-        msgs = [p.cumulative_messages for p in curve]
-        assert msgs == sorted(msgs)
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    def test_status_fractions_and_copies_match_recount(self, policy):
+        # Straddle: supply 300 slots against a demand of 240..400 copies.
+        result = run(SimConfig(n_max=80, h_max=60, seed=4, policy=policy))
+        fams = result.families
+        counts = [0, 0, 0, 0]
+        for f in fams.values():
+            counts[status_value(f.copy_count, f.r_min, f.r_max) - 1] += 1
+        n = len(fams)
+        summ = summary_dict(result)
+        assert summ["status_fractions"] == {
+            "none_made": round(counts[0] / n, 6), "partial": round(counts[1] / n, 6),
+            "at_min": round(counts[2] / n, 6), "at_max": round(counts[3] / n, 6),
+        }
+        assert summ["copies_held"] == sum(f.copy_count for f in fams.values())
 
 
 class TestSnapshots:
@@ -197,6 +216,29 @@ class TestSnapshots:
         final = {d: f.copy_count for d, f in small_run.families.items()}
         assert copies == final
         assert used == {h.host_id: h.used for h in small_run.hosts.values() if h.used}
+
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    def test_mid_run_states_match_live_world(self, policy):
+        ts = (1, 16, 300, 601, 900, 1190)
+        live = {}
+
+        def hook(world, event):
+            if world.t in ts:
+                live[world.t] = (
+                    {do: f.copy_count for do, f in world.families.items()},
+                    {h: host.used for h, host in world.hosts.items() if host.used},
+                    set(world.hosts),
+                    world.sacrifices,
+                )
+
+        result = run(SimConfig(n_max=80, h_max=60, seed=4, policy=policy), hook)
+        assert sorted(live) == list(ts)
+        assert live[ts[-1]][3] > 0  # copy removals are replayed too
+        for t, (copies, used, discovered, _) in live.items():
+            got_copies, got_used, got_discovered = snapshot_state(result, t)
+            assert got_copies == copies
+            assert {h: u for h, u in got_used.items() if u} == used
+            assert got_discovered == discovered
 
     def test_beyond_run_rejected(self, small_run, tmp_path):
         with pytest.raises(ValueError):

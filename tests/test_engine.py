@@ -86,7 +86,7 @@ class TestConservation:
         for host in result.hosts.values():
             assert host.used <= host.capacity
             for do in host.foreign:
-                assert result.families[do].copies[host.host_id] == host.foreign[do]
+                assert host.host_id in result.families[do].copies
 
     def test_bin_sums_match_totals(self):
         result = run(SimConfig(n_max=50, h_max=100, seed=2))
@@ -154,7 +154,6 @@ class TestSteadyState:
             world.families[do] = fam
             world.graph.add_node(do)
             world.status_counts[0] += 1
-            world.status_value_sum += 1
             world.connected_order.append(do)
         donor = world.families[1]
         for h in (4, 5, 6):
@@ -279,7 +278,7 @@ class TestEffectivenessSeries:
         for i in range(1, len(series)):
             if ts[i - 1] < boundary:
                 continue
-            removed = sum(1 for t, _, delta in result.copy_events
+            removed = sum(1 for t, _, _, delta in result.copy_events
                           if delta < 0 and ts[i - 1] < t <= ts[i])
             floor = series[i - 1] - removed * (1 / 3) / n - 1e-9
             assert series[i] >= floor

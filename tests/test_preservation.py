@@ -27,7 +27,6 @@ def add_family(world, do, home, copies=(), r_min=None, r_max=None, connect=True)
     world.families[do] = fam
     world.graph.add_node(do)
     world.status_counts[0] += 1
-    world.status_value_sum += 1
     for h in copies:
         target = world.discover_host(h)
         from uswsim.preservation import _store_replica
@@ -114,8 +113,8 @@ class TestPlaceCopy:
         world.discover_host(20)
         outcome = place_copy(fam, 20, world)
         assert outcome is PlaceOutcome.PLACED
-        assert fam.copies[20] == 1
-        assert world.hosts[20].foreign[1] == 1
+        assert fam.copies == {20}
+        assert world.hosts[20].foreign == {1}
         assert world.ledger.kind_counts[MessageKind.COPY_REQUEST] == 1
         assert world.ledger.kind_counts[MessageKind.COPY_ACK] == 1
         assert fam.believed_free[20] == 4
@@ -141,6 +140,13 @@ class TestPlaceCopy:
         with pytest.raises(ValueError):
             place_copy(fam, 10, world)
 
+    def test_no_two_replicas_share_a_host(self):
+        world = make_world()
+        fam = add_family(world, 1, home=10, copies=(20, 30, 40))
+        hosts = [fam.home_host] + sorted(fam.copies)
+        assert hosts == [10, 20, 30, 40]
+        assert len(hosts) == len(set(hosts))
+
     def test_at_r_max_is_a_programming_error(self):
         world = make_world(r_min=1, r_max=2)
         fam = add_family(world, 1, home=10, copies=(20, 21), r_min=1, r_max=2)
@@ -162,11 +168,12 @@ class TestSacrifice:
         add_family(world, 1, home=10, copies=(50, 61, 62, 63))
         add_family(world, 2, home=11, copies=(50, 71))
         beneficiary = add_family(world, 3, home=12, copies=(80,))
-        decision = try_sacrifice(beneficiary, 50, world)
-        assert decision is not None
-        assert decision.donor == 1
-        assert decision.victim_host == 50
-        assert decision.beneficiary == 3
+        host = world.hosts[50]
+        assert try_sacrifice(beneficiary, 50, world) == 1
+        assert 50 in beneficiary.copies
+        assert 3 in host.foreign
+        assert 50 not in world.families[1].copies
+        assert 1 not in host.foreign
         assert world.families[1].copy_count == 3
         assert beneficiary.copy_count == 2
         assert world.hosts[50].used == 2  # one out, one in
@@ -176,8 +183,7 @@ class TestSacrifice:
         add_family(world, 5, home=10, copies=(50, 61, 62, 63))
         add_family(world, 2, home=11, copies=(50, 71, 72, 73))
         beneficiary = add_family(world, 9, home=12)
-        decision = try_sacrifice(beneficiary, 50, world)
-        assert decision.donor == 2
+        assert try_sacrifice(beneficiary, 50, world) == 2
 
     def test_nobody_above_r_min_means_none(self):
         world = make_world(host_capacity=2)
@@ -290,23 +296,3 @@ class TestAnnounceNewHost:
         announce_new_host(fam, 41, world)
         assert len(world.queue) == 1
         assert needy.chase_target == 41
-
-
-class TestReplicaRefs:
-    def test_parent_and_copy_views(self):
-        world = make_world()
-        fam = add_family(world, 1, home=10, copies=(20, 30))
-        parent = fam.parent_ref()
-        assert (parent.do_id, parent.copy_index, parent.host_id) == (1, 0, 10)
-        refs = fam.copy_refs()
-        assert [(r.host_id, r.copy_index) for r in refs] == [(20, 1), (30, 2)]
-        assert all(r.copy_index > 0 for r in refs)
-        host_refs = world.hosts[20].foreign_refs()
-        assert host_refs[0].do_id == 1
-        assert host_refs[0].host_id == 20
-
-    def test_no_two_replicas_share_a_host(self):
-        world = make_world()
-        fam = add_family(world, 1, home=10, copies=(20, 30, 40))
-        hosts = [fam.parent_ref().host_id] + [r.host_id for r in fam.copy_refs()]
-        assert len(hosts) == len(set(hosts))
