@@ -24,7 +24,7 @@ from uswsim.graph import (
     grow_graph,
     uniform_random_graph,
 )
-from uswsim.model import NamedCondition, PolicyKind, SimConfig, classify_condition
+from uswsim.model import MessageKind, NamedCondition, PolicyKind, SimConfig, classify_condition
 from uswsim.preservation import eligible_donor
 from uswsim.preservation import place_copy as real_place_copy
 from uswsim.preservation import try_sacrifice as real_try_sacrifice
@@ -85,6 +85,8 @@ class Instrumentation:
         ledger = world.ledger
         if ledger.total_sent != ledger.total_received or ledger.total_sent != ledger.total:
             self.violations.append("message conservation broke")
+        self.violations += pairing_violations(ledger, world.graph.edge_count, world.placements,
+                                              world.denials, world.sacrifices)
 
     def guarded_try_sacrifice(self, beneficiary, host_id, world):
         host = world.hosts[host_id]
@@ -134,10 +136,36 @@ def run_instrumented(config, monitor):
     return result
 
 
+def pairing_violations(ledger, edges, placements, denials, sacrifices):
+    """Protocol pairings that hold between events: each request has its answer,
+    each link its two messages, each copy move its message."""
+    counts = ledger.kind_counts
+    n = {kind: counts.get(kind, 0) for kind in MessageKind}
+    K = MessageKind
+    checks = (
+        (n[K.CONTACT] == n[K.CONTACT_REPLY],
+         f"contact {n[K.CONTACT]} != contact_reply {n[K.CONTACT_REPLY]}"),
+        (n[K.LINK_REQUEST] == n[K.LINK_ACK] == edges,
+         f"link_request {n[K.LINK_REQUEST]} / link_ack {n[K.LINK_ACK]} / edges {edges}"),
+        (n[K.COPY_REQUEST] == n[K.COPY_ACK] + n[K.COPY_DENY],
+         f"copy_request {n[K.COPY_REQUEST]} != copy_ack {n[K.COPY_ACK]} "
+         f"+ copy_deny {n[K.COPY_DENY]}"),
+        (n[K.COPY_ACK] == placements, f"copy_ack {n[K.COPY_ACK]} != placements {placements}"),
+        (n[K.COPY_DENY] == denials, f"copy_deny {n[K.COPY_DENY]} != denials {denials}"),
+        (n[K.SACRIFICE_DIRECTIVE] == sacrifices,
+         f"sacrifice_directive {n[K.SACRIFICE_DIRECTIVE]} != sacrifices {sacrifices}"),
+        (len(ledger.kinds) == len(ledger.times) == len(ledger.senders) == len(ledger.receivers),
+         "ledger columns differ in length"),
+    )
+    return [f"message pairing broke: {what}" for ok, what in checks if not ok]
+
+
 def _audit_result(self, result):
     ledger = result.ledger
     if ledger.total_sent != ledger.total_received:
         self.violations.append("final message conservation broke")
+    self.violations += pairing_violations(ledger, result.graph.edge_count, result.placements,
+                                          result.denials, result.sacrifices)
     copies = sum(f.copy_count for f in result.families.values())
     slots = sum(h.used for h in result.hosts.values())
     if copies != slots:
@@ -400,3 +428,19 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
     ok = verdict("9", csv_same and json_same,
                  f"CSV identical: {csv_same}, JSON identical: {json_same}")
     assert ok
+
+
+def test_pairing_audit_flags_unbalanced_ledgers():
+    world = engine_mod.World(SimConfig(n_max=2, h_max=4))
+    assert pairing_violations(world.ledger, 0, 0, 0, 0) == []
+    world.send(MessageKind.CONTACT, 1, 2)
+    world.send(MessageKind.LINK_REQUEST, 1, 2)
+    world.send(MessageKind.LINK_ACK, 2, 1)
+    world.send(MessageKind.COPY_REQUEST, 1, 3)
+    world.send(MessageKind.COPY_ACK, 3, 1)
+    world.send(MessageKind.SACRIFICE_DIRECTIVE, 3, 2)
+    found = pairing_violations(world.ledger, 1, 0, 1, 0)
+    assert [v.split(": ")[1].split()[0] for v in found] == [
+        "contact", "copy_ack", "copy_deny", "sacrifice_directive"]
+    world.ledger.times.append(world.t)
+    assert pairing_violations(world.ledger, 0, 1, 0, 1)[-1].endswith("differ in length")
