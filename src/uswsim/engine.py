@@ -52,12 +52,15 @@ class Phase(enum.Enum):
 
 
 class MessageLedger:
-    """Every message ever sent, one entry per send in four append-only columns.
+    """Every message ever sent, one row per message in four append-only columns.
 
     The columns hold the kind's ``code``, the send time, the sender id and
     the receiver id; the kind says whether each id names a DO or a host.
-    The per-DO, per-host, per-bin, per-kind and per-phase views are derived
-    from the columns when read.
+    A fan-out (one sender, many receivers) or fan-in is appended in bulk,
+    one extend per column.  The per-DO, per-host, per-bin, per-kind and
+    per-phase views are derived from the columns when read; each is an
+    order-free count, so the order of rows within one event is not part of
+    any output.
     """
 
     __slots__ = ("bin_size", "kinds", "times", "senders", "receivers", "growth_total")
@@ -216,8 +219,15 @@ class World:
         self.steady_state_t: int | None = None
         self.terminated_by = "incomplete"
 
-        # Live aggregates for O(1) sampling and conservation checks.
+        # Live aggregates for O(1) sampling and conservation checks.  Every
+        # family has the config's r_min/r_max and every host its capacity,
+        # so the status index by copy count and the band by slots used are
+        # tabulated once from model's rules.
         self.status_counts = [0, 0, 0, 0]
+        self._status_index = [status_value(c, config.r_min, config.r_max) - 1
+                              for c in range(config.r_max + 1)]
+        self._band_name = [host_band(used, config.host_capacity, True).value
+                           for used in range(config.host_capacity + 1)]
         self.copies_total = 0
         self.slots_used_total = 0
         self.host_band_counts = {"white": 0, "red": 0, "yellow": 0, "green": 0, "blue": 0}
@@ -240,7 +250,11 @@ class World:
     # ----- ledger / bookkeeping hooks used by preservation ---------------
 
     def send(self, kind: MessageKind, frm: int, to: int):
-        """Record one message; the kind says whether ``frm``/``to`` are DO or host ids."""
+        """Record one message; the kind says whether ``frm``/``to`` are DO or host ids.
+
+        Fan-outs go through ``send_each``; rows of one event may land in
+        any order, since no ledger view depends on it.
+        """
         if frm == to and kind.from_do and kind.to_do:
             raise ValueError("message sender and recipient must differ")
         ledger = self.ledger
@@ -249,21 +263,39 @@ class World:
         ledger.senders.append(frm)
         ledger.receivers.append(to)
 
-    def _move_band(self, host: Host, used_before: int):
-        """Recount ``host`` from its band at ``used_before`` slots to its band now."""
-        bands = self.host_band_counts
-        bands[host_band(used_before, host.capacity, True).value] -= 1
-        bands[host_band(host.used, host.capacity, True).value] += 1
+    def send_each(self, kind: MessageKind, frm: int | list[int], to: int | list[int]):
+        """Record one message per id in whichever of ``frm``/``to`` is a list.
+
+        The other side is a single id, sender of a fan-out or receiver of a
+        fan-in.  The rows are appended with one extend per column; a DO
+        message from a DO to itself records nothing and raises.
+        """
+        fan_in = isinstance(frm, list)
+        one, many = (to, frm) if fan_in else (frm, to)
+        if kind.from_do and kind.to_do and one in many:
+            raise ValueError("message sender and recipient must differ")
+        k = len(many)
+        ones = array("i", (one,)) * k
+        ledger = self.ledger
+        ledger.kinds.frombytes(bytes((kind.code,)) * k)
+        ledger.times.extend(array("i", (self.t,)) * k)
+        ledger.senders.extend(many if fan_in else ones)
+        ledger.receivers.extend(ones if fan_in else many)
 
     def note_copy(self, fam: Family, host: Host, delta: int):
         """Book a copy of ``fam`` just stored on (+1) or removed from (-1) ``host``."""
-        v_old = status_value(fam.copy_count - delta, fam.r_min, fam.r_max)
-        v_new = status_value(fam.copy_count, fam.r_min, fam.r_max)
-        self.status_counts[v_old - 1] -= 1
-        self.status_counts[v_new - 1] += 1
+        status = self._status_index
+        counts = self.status_counts
+        c = len(fam.copies)
+        counts[status[c - delta]] -= 1
+        counts[status[c]] += 1
         self.copies_total += delta
         self.slots_used_total += delta
-        self._move_band(host, host.used - delta)
+        band = self._band_name
+        bands = self.host_band_counts
+        used = len(host.foreign)
+        bands[band[used - delta]] -= 1
+        bands[band[used]] += 1
         self.copy_events.append((self.t, fam.do_id, host.host_id, delta))
         if delta > 0:
             self.placements += 1
@@ -325,9 +357,9 @@ class World:
         cap = 10 * max(len(self.graph), 1)
         if wander_step(state, self.graph, self.config.link_probability, self.rng, cap):
             edges = finalize_links(state, self.graph, self.config.extra_link_fraction, self.rng)
-            for u, v in edges:
-                self.send(MessageKind.LINK_REQUEST, u, v)
-                self.send(MessageKind.LINK_ACK, v, u)
+            friends = [v for _, v in edges]
+            self.send_each(MessageKind.LINK_REQUEST, do, friends)
+            self.send_each(MessageKind.LINK_ACK, friends, do)
             self._connect(self.families[do], state)
         else:
             self.queue.append((_WANDER, do))

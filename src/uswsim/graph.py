@@ -97,11 +97,12 @@ class WanderState:
         self.connected = entry is None
         self.steps = 0
 
-    def glean(self, friends):
-        for f in sorted(friends):
-            if f != self.do_id and f not in self._candidate_set:
-                self._candidate_set.add(f)
-                self.candidates.append(f)
+    def glean(self, friends: set[int]):
+        """Add the friends not yet gleaned, other than the wanderer, in ascending order."""
+        new = friends - self._candidate_set
+        new.discard(self.do_id)
+        self._candidate_set |= new
+        self.candidates += sorted(new)
 
 
 def start_wander(do_id: int, graph: FriendshipGraph, connected_nodes: list[int],
@@ -155,15 +156,19 @@ def finalize_links(state: WanderState, graph: FriendshipGraph,
     do = state.do_id
     first = state.current
     new_edges: list[tuple[int, int]] = []
-    if first is not None:
-        graph.add_edge(do, first)
+    if first is not None and graph.add_edge(do, first):
         new_edges.append((do, first))
     remaining = [c for c in state.candidates if c != first]
     if remaining and extra_link_fraction > 0:
         k = math.ceil(extra_link_fraction * len(remaining))
-        for target in rng.sample(remaining, k):
-            if graph.add_edge(do, target):
-                new_edges.append((do, target))
+        adj = graph.adj
+        mine = adj[do]
+        targets = [t for t in rng.sample(remaining, k) if t not in mine]
+        mine.update(targets)
+        for target in targets:
+            adj[target].add(do)
+        graph.edge_count += len(targets)
+        new_edges += [(do, target) for target in targets]
     return new_edges
 
 

@@ -192,20 +192,20 @@ def announce_new_host(family: Family, host_id: int, world) -> int:
     their r_max who hear of actual room go chase that host; a family keeps
     at most one chase queued, retargeted by newer news.
     """
-    sent = 0
+    friends = sorted(world.graph.neighbors(family.do_id))
+    world.send_each(MessageKind.HOST_ANNOUNCE, family.do_id, friends)
     observed = family.believed_free.get(host_id, 0)
+    families = world.families
     wake = []
-    for friend in sorted(world.graph.neighbors(family.do_id)):
-        world.send(MessageKind.HOST_ANNOUNCE, family.do_id, friend)
-        sent += 1
-        other = world.families[friend]
+    for friend in friends:
+        other = families[friend]
         other.known_hosts.add(host_id)
         other.believed_free[host_id] = observed
-        if (observed > 0 and other.connected and other.copy_count < other.r_max
+        if (observed > 0 and other.connected and len(other.copies) < other.r_max
                 and host_id != other.home_host and host_id not in other.copies):
             if other.chase_target is None:
                 wake.append(friend)
             other.chase_target = host_id
     for friend in wake:
         world.enqueue_chase(friend)
-    return sent
+    return len(friends)

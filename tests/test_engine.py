@@ -11,7 +11,7 @@ from uswsim.engine import (
     run,
 )
 from uswsim.model import MessageKind, PolicyKind, SimConfig
-from uswsim.preservation import Family
+from uswsim.preservation import Family, PlaceOutcome, announce_new_host, place_copy
 
 
 class TestRunBasics:
@@ -222,6 +222,74 @@ class TestMessageLedger:
         assert ledger.host_sent == {9: 1}
         assert ledger.do_received == {1: 1}
         assert 9 not in ledger.do_received
+
+
+def column_lengths(ledger):
+    return [len(c) for c in (ledger.kinds, ledger.times, ledger.senders, ledger.receivers)]
+
+
+FAN_VIEWS = ("kind_counts", "do_sent", "do_received", "host_sent", "host_received",
+             "do_sent_bins", "sys_sent_bins")
+
+
+class TestBulkSends:
+    @pytest.mark.parametrize("kind,one", [
+        (MessageKind.HOST_ANNOUNCE, 4),   # DO to DOs
+        (MessageKind.COPY_ACK, 9),        # host to DOs
+        (MessageKind.COPY_REQUEST, 2),    # DO to hosts
+    ])
+    @pytest.mark.parametrize("fan_in", [False, True])
+    def test_matches_single_sends(self, kind, one, fan_in):
+        many = [7, 3, 11, 5]
+        bulk = World(SimConfig(n_max=2, h_max=2, bin_size=100))
+        single = World(SimConfig(n_max=2, h_max=2, bin_size=100))
+        for world in (bulk, single):
+            world.t = 130
+            world.send(MessageKind.CONTACT, 1, 2)
+            world.t = 250
+        if fan_in:
+            bulk.send_each(kind, many, one)
+        else:
+            bulk.send_each(kind, one, many)
+        for other in many:
+            single.send(kind, *((other, one) if fan_in else (one, other)))
+        for name in FAN_VIEWS:
+            assert getattr(bulk.ledger, name) == getattr(single.ledger, name), name
+        assert bulk.ledger.total == single.ledger.total == 1 + len(many)
+
+    @pytest.mark.parametrize("fan_in", [False, True])
+    def test_no_receivers_appends_nothing(self, fan_in):
+        world = World(SimConfig(n_max=2, h_max=2))
+        world.t = 5
+        if fan_in:
+            world.send_each(MessageKind.LINK_ACK, [], 1)
+        else:
+            world.send_each(MessageKind.HOST_ANNOUNCE, 1, [])
+        assert column_lengths(world.ledger) == [0, 0, 0, 0]
+
+    def test_announce_without_friends_records_nothing(self):
+        # DO 1 joins an empty graph, so it has no friend to tell.
+        world = World(SimConfig(n_max=1, h_max=5))
+        world.t += 1
+        world.introduce_do()
+        fam = world.families[1]
+        host = next(h for h in range(1, 6) if h != fam.home_host)
+        world.discover_host(host)
+        assert place_copy(fam, host, world) is PlaceOutcome.PLACED
+        world.t += 1
+        assert announce_new_host(fam, host, world) == 0
+        assert column_lengths(world.ledger) == [2, 2, 2, 2]
+
+    @pytest.mark.parametrize("fan_in", [False, True])
+    def test_self_message_in_fan_raises_and_records_nothing(self, fan_in):
+        world = World(SimConfig(n_max=2, h_max=2))
+        args = ([2, 1, 3], 1) if fan_in else (1, [2, 1, 3])
+        with pytest.raises(ValueError):
+            world.send_each(MessageKind.HOST_ANNOUNCE, *args)
+        assert column_lengths(world.ledger) == [0, 0, 0, 0]
+        # Host ids may repeat DO ids: a DO asking the host that shares its id.
+        world.send_each(MessageKind.COPY_REQUEST, 1, [2, 1, 3])
+        assert column_lengths(world.ledger) == [3, 3, 3, 3]
 
 
 # Every view of the ledger for SimConfig(n_max=60, h_max=120, seed=8) under

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from collections import deque
 from random import Random
 
@@ -108,6 +109,16 @@ class TestWandering:
         assert state.candidates == sorted(set(state.candidates))
         assert 4 not in state.candidates
 
+    def test_glean_appends_only_new_ids_ascending(self):
+        state = WanderState(9, 1)
+        state.glean({4, 2})
+        friends = {1024, 40, 9, 4, 17, 3, 2}
+        assert list(friends) != sorted(friends)  # set order is not id order
+        state.glean(friends)
+        assert state.candidates == [2, 4, 3, 17, 40, 1024]
+        state.glean({40, 5, 9})
+        assert state.candidates == [2, 4, 3, 17, 40, 1024, 5]
+
     def test_isolated_current_forces_link(self):
         g = FriendshipGraph()
         g.add_node(1)
@@ -152,6 +163,24 @@ class TestFinalizeLinks:
         assert edges[0] == (7, 2)
         assert g.degree(7) == 3
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_edge_oracle(self, fraction, seed):
+        # DO 9 starts adjacent to 4 and 6, two of its candidates, so with
+        # a fraction of one both are drawn and must be skipped.
+        base = [(1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7), (9, 4), (9, 6)]
+        results = []
+        for finalize in (finalize_links, finalize_links_oracle):
+            g = graph_of(base)
+            state = WanderState(9, 2)
+            state.glean({1, 3, 4, 5, 6, 7, 2})
+            state.connected = True
+            edges = finalize(state, g, fraction, Random(seed))
+            for u, v in edges:
+                assert v in g.adj[u] and u in g.adj[v]
+            results.append((edges, g.edge_count, g.adj))
+        assert results[0] == results[1]
+
     def test_unconnected_state_rejected(self):
         g = graph_of([(1, 2)])
         state = start_wander(3, g, [1, 2], Random(1))
@@ -164,6 +193,20 @@ class TestFinalizeLinks:
         _, disconnected = avg_path_length(g)
         assert not disconnected
         assert all(g.degree(u) >= 1 for u in g.adj)
+
+
+def finalize_links_oracle(state, graph, fraction, rng):
+    """finalize_links one add_edge at a time."""
+    do, first = state.do_id, state.current
+    edges = []
+    if first is not None and graph.add_edge(do, first):
+        edges.append((do, first))
+    remaining = [c for c in state.candidates if c != first]
+    if remaining and fraction > 0:
+        for target in rng.sample(remaining, math.ceil(fraction * len(remaining))):
+            if graph.add_edge(do, target):
+                edges.append((do, target))
+    return edges
 
 
 class TestClusteringCoefficient:
