@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import Phase, RunResult
 from .fileio import atomic_write
-from .model import HostBand, host_band, status_value
+from .model import HostBand, classify_condition, host_band, status_value
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def fit_growth_exponent(sweep: list[tuple[int, int]]) -> ScalingFit:
     return ScalingFit(sizes, totals, float(slope), float(intercept), residual, marginal)
 
 
-CSV_HEADER = ("t,phase,effectiveness,cum_sent,cum_received,"
+CSV_HEADER = ("t,phase,effectiveness,cum_sent,"
               "do_none,do_partial,do_at_min,do_at_max,"
               "host_grey,host_white,host_red,host_yellow,host_green,host_blue")
 
@@ -113,9 +113,8 @@ def emit_timeseries_csv(result: RunResult, path):
                 phase = "growth" if boundary is None or t < boundary else "maintenance"
                 do_f = result.status_series[i]
                 ho_f = result.host_series[i]
-                # Every message is received when it is sent: cum_received == cum_sent.
-                cum = str(result.cum_sent_series[i])
-                row = [str(t), phase, f"{result.effectiveness_series[i]:.6f}", cum, cum]
+                row = [str(t), phase, f"{result.effectiveness_series[i]:.6f}",
+                       str(result.cum_sent_series[i])]
                 row += [f"{v:.6f}" for v in do_f]
                 row += [f"{v:.6f}" for v in ho_f]
                 fh.write(",".join(row) + "\n")
@@ -144,8 +143,8 @@ def summary_dict(result: RunResult) -> dict:
             "extra_link_fraction": cfg.extra_link_fraction,
             "max_events": cfg.max_events,
         },
-        "seed": result.seed,
-        "condition": result.condition.value,
+        "seed": cfg.seed,
+        "condition": classify_condition(cfg).value,
         "terminated_by": result.terminated_by,
         "steady_state_t": result.steady_state_t,
         "final_t": result.final_t,

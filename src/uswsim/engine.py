@@ -26,10 +26,8 @@ import numpy as np
 from .graph import FriendshipGraph, WanderState, finalize_links, start_wander, wander_step
 from .model import (
     MessageKind,
-    NamedCondition,
     Reason,
     SimConfig,
-    classify_condition,
     host_band,
     status_value,
 )
@@ -57,16 +55,16 @@ class MessageLedger:
     The columns hold the kind's ``code``, the send time, the sender id and
     the receiver id; the kind says whether each id names a DO or a host.
     A fan-out (one sender, many receivers) or fan-in is appended in bulk,
-    one extend per column.  The per-DO, per-host, per-bin, per-kind and
-    per-phase views are derived from the columns when read; each is an
-    order-free count, so the order of rows within one event is not part of
-    any output.
+    one extend per column.  The simulator derives only the per-kind and
+    per-phase counts from them; both are order-free, so the order of rows
+    within one event is not part of any output.  The time, sender and
+    receiver columns are kept for tests that check when, by whom and to
+    whom each message went.
     """
 
-    __slots__ = ("bin_size", "kinds", "times", "senders", "receivers", "growth_total")
+    __slots__ = ("kinds", "times", "senders", "receivers", "growth_total")
 
-    def __init__(self, bin_size: int):
-        self.bin_size = bin_size
+    def __init__(self):
         self.kinds = array("B")
         self.times = array("i")
         self.senders = array("i")
@@ -79,14 +77,6 @@ class MessageLedger:
         return len(self.kinds)
 
     @property
-    def total_sent(self) -> int:
-        return len(self.senders)
-
-    @property
-    def total_received(self) -> int:
-        return len(self.receivers)
-
-    @property
     def phase_messages(self) -> dict[Phase, int]:
         total = self.total
         growth = total if self.growth_total is None else self.growth_total
@@ -97,78 +87,10 @@ class MessageLedger:
         counts = np.bincount(np.array(self.kinds), minlength=len(MessageKind)).tolist()
         return {kind: counts[kind.code] for kind in MessageKind if counts[kind.code]}
 
-    def _ends(self, column: array, do_by_code: np.ndarray):
-        """The ids of one endpoint column, and whether each is a DO (else a host)."""
-        return np.array(column), do_by_code[np.array(self.kinds)]
-
-    def _bins(self) -> np.ndarray:
-        return np.array(self.times, dtype=np.int64) // self.bin_size
-
-    @property
-    def do_sent(self) -> dict[int, int]:
-        ids, is_do = self._ends(self.senders, _FROM_DO)
-        return _tally(ids[is_do])
-
-    @property
-    def do_received(self) -> dict[int, int]:
-        ids, is_do = self._ends(self.receivers, _TO_DO)
-        return _tally(ids[is_do])
-
-    @property
-    def host_sent(self) -> dict[int, int]:
-        ids, is_do = self._ends(self.senders, _FROM_DO)
-        return _tally(ids[~is_do])
-
-    @property
-    def host_received(self) -> dict[int, int]:
-        ids, is_do = self._ends(self.receivers, _TO_DO)
-        return _tally(ids[~is_do])
-
-    @property
-    def do_sent_bins(self) -> dict[int, dict[int, int]]:
-        ids, is_do = self._ends(self.senders, _FROM_DO)
-        return _tally_bins(ids[is_do], self._bins()[is_do])
-
-    @property
-    def do_received_bins(self) -> dict[int, dict[int, int]]:
-        ids, is_do = self._ends(self.receivers, _TO_DO)
-        return _tally_bins(ids[is_do], self._bins()[is_do])
-
-    @property
-    def sys_sent_bins(self) -> dict[int, int]:
-        return _tally(self._bins())
-
-    # Every message is received exactly once, in the bin it was sent in.
-    sys_received_bins = sys_sent_bins
-
-
-# Indexed by MessageKind.code: is the sender / the receiver a DO?
-_FROM_DO = np.array([kind.from_do for kind in MessageKind])
-_TO_DO = np.array([kind.to_do for kind in MessageKind])
-
-
-def _tally(values: np.ndarray) -> dict[int, int]:
-    """Occurrences of each distinct value, in ascending order."""
-    found, counts = np.unique(values, return_counts=True)
-    return dict(zip(found.tolist(), counts.tolist()))
-
-
-def _tally_bins(ids: np.ndarray, bins: np.ndarray) -> dict[int, dict[int, int]]:
-    """Occurrences of each (id, bin) pair, nested by id."""
-    width = int(bins.max()) + 1 if bins.size else 1
-    out: dict[int, dict[int, int]] = {}
-    for key, n in _tally(ids.astype(np.int64) * width + bins).items():
-        do, b = divmod(key, width)
-        out.setdefault(do, {})[b] = n
-    return out
-
 
 @dataclass
 class RunResult:
     config: SimConfig
-    seed: int
-    condition: NamedCondition
-    steady_state_t: int | None
     terminated_by: str
     final_t: int
     phase_boundary_t: int | None
@@ -186,6 +108,10 @@ class RunResult:
     placements: int
     sacrifices: int
     denials: int
+
+    @property
+    def steady_state_t(self) -> int | None:
+        return self.final_t if self.terminated_by == "steady_state" else None
 
     @property
     def final_effectiveness(self) -> float:
@@ -213,10 +139,8 @@ class World:
         self.queue: deque = deque()
         self.t = 0
         self.introduced = 0
-        self.ledger = MessageLedger(config.bin_size)
-        self.phase = Phase.GROWTH
+        self.ledger = MessageLedger()
         self.phase_boundary_t: int | None = None
-        self.steady_state_t: int | None = None
         self.terminated_by = "incomplete"
 
         # Live aggregates for O(1) sampling and conservation checks.  Every
@@ -527,11 +451,9 @@ def run(config: SimConfig, invariant_hook=None) -> RunResult:
             # All introduced and connected and no pending work: every family
             # that could still act has run out of opportunities it knows
             # about, so the system has stopped evolving.
-            world.steady_state_t = world.t
             world.terminated_by = "steady_state"
             break
-        if world.phase is Phase.GROWTH and phase_of(world) is Phase.MAINTENANCE:
-            world.phase = Phase.MAINTENANCE
+        if world.phase_boundary_t is None and phase_of(world) is Phase.MAINTENANCE:
             world.phase_boundary_t = world.t
             world.ledger.growth_total = world.ledger.total
         if world.t % bin_size == 0:
@@ -542,9 +464,6 @@ def run(config: SimConfig, invariant_hook=None) -> RunResult:
         world.sample_bin()
     return RunResult(
         config=cfg,
-        seed=cfg.seed,
-        condition=classify_condition(cfg),
-        steady_state_t=world.steady_state_t,
         terminated_by=world.terminated_by,
         final_t=world.t,
         phase_boundary_t=world.phase_boundary_t,

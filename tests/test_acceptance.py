@@ -15,6 +15,7 @@ from random import Random
 
 import pytest
 
+import ledger_views
 import uswsim.engine as engine_mod
 from uswsim.cli import sweep_sizes
 from uswsim.engine import run
@@ -82,11 +83,17 @@ class Instrumentation:
             used_sum += host.used
         if copies_sum != used_sum or copies_sum != world.copies_total:
             self.violations.append("copy/slot sums diverged")
-        ledger = world.ledger
-        if ledger.total_sent != ledger.total_received or ledger.total_sent != ledger.total:
-            self.violations.append("message conservation broke")
-        self.violations += pairing_violations(ledger, world.graph.edge_count, world.placements,
-                                              world.denials, world.sacrifices)
+        self.violations += pairing_violations(world.ledger, world.graph.edge_count,
+                                              world.placements, world.denials, world.sacrifices)
+
+    def audit_result(self, result):
+        self.violations += pairing_violations(result.ledger, result.graph.edge_count,
+                                              result.placements, result.denials,
+                                              result.sacrifices)
+        copies = sum(f.copy_count for f in result.families.values())
+        slots = sum(h.used for h in result.hosts.values())
+        if copies != slots:
+            self.violations.append("final slot conservation broke")
 
     def guarded_try_sacrifice(self, beneficiary, host_id, world):
         host = world.hosts[host_id]
@@ -160,32 +167,18 @@ def pairing_violations(ledger, edges, placements, denials, sacrifices):
     return [f"message pairing broke: {what}" for ok, what in checks if not ok]
 
 
-def _audit_result(self, result):
-    ledger = result.ledger
-    if ledger.total_sent != ledger.total_received:
-        self.violations.append("final message conservation broke")
-    self.violations += pairing_violations(ledger, result.graph.edge_count, result.placements,
-                                          result.denials, result.sacrifices)
-    copies = sum(f.copy_count for f in result.families.values())
-    slots = sum(h.used for h in result.hosts.values())
-    if copies != slots:
-        self.violations.append("final slot conservation broke")
-
-
-Instrumentation.audit_result = _audit_result
-
-
 def summarize(result):
     fams = result.families
     n = len(fams)
+    sent_bins = ledger_views.do_sent_bins(result.ledger, result.config.bin_size)
     return {
         "steady_t": result.steady_state_t if result.steady_state_t is not None
         else result.final_t,
         "messages": result.ledger.total,
         "effectiveness": result.final_effectiveness,
         "zero_copy": sum(1 for f in fams.values() if f.copy_count == 0) / n,
-        "sent_bins_mid": dict(result.ledger.do_sent_bins.get(result.config.n_max // 2, {})),
-        "sent_bins_first": dict(result.ledger.do_sent_bins.get(1, {})),
+        "sent_bins_mid": sent_bins.get(result.config.n_max // 2, {}),
+        "sent_bins_first": sent_bins.get(1, {}),
         "terminated_by": result.terminated_by,
     }
 

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -124,11 +126,11 @@ class TestTimeseriesCsv:
         path = tmp_path / "ts.csv"
         emit_timeseries_csv(small_run, path)
         last = path.read_text().splitlines()[-1].split(",")
-        do_fracs = [float(v) for v in last[5:9]]
-        host_fracs = [float(v) for v in last[9:15]]
+        do_fracs = [float(v) for v in last[4:8]]
+        host_fracs = [float(v) for v in last[8:14]]
         assert sum(do_fracs) == pytest.approx(1.0, abs=1e-4)
         assert sum(host_fracs) == pytest.approx(1.0, abs=1e-4)
-        assert all(len(v.split(".")[1]) == 6 for v in last[5:15])
+        assert all(len(v.split(".")[1]) == 6 for v in last[4:14])
 
     def test_rows_ascend_in_t(self, small_run, tmp_path):
         path = tmp_path / "ts.csv"
@@ -144,7 +146,6 @@ class TestTimeseriesCsv:
         sent = [int(row[3]) for row in rows]
         assert sent == sorted(sent)
         assert sent[-1] == small_run.ledger.total
-        assert [int(row[4]) for row in rows] == sent
 
     def test_rerun_identical_bytes(self, tmp_path):
         cfg = SimConfig(n_max=30, h_max=60, seed=12)
@@ -152,6 +153,15 @@ class TestTimeseriesCsv:
         emit_timeseries_csv(run(cfg), p1)
         emit_timeseries_csv(run(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_documented_columns_match_header(self):
+        # The first cell of each row of the documented CSV table names its
+        # columns in backticks, in file order.
+        doc = (Path(__file__).resolve().parent.parent / "docs" / "output-formats.md").read_text()
+        section = doc.split("## Timeseries CSV", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        documented = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        assert documented == CSV_HEADER.split(",")
 
 
 class TestSummaryJson:
@@ -185,7 +195,7 @@ class TestSummaryJson:
         last = csv_path.read_text().splitlines()[-1].split(",")
         summ = summary_dict(small_run)
         assert int(last[3]) == summ["messages"]["growth"] + summ["messages"]["maintenance"]
-        assert int(last[4]) == summ["messages"]["total"]
+        assert int(last[3]) == summ["messages"]["total"]
 
     @pytest.mark.parametrize("policy", list(PolicyKind))
     def test_status_fractions_and_copies_match_recount(self, policy):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import ledger_views
 from uswsim.engine import (
     Phase,
     World,
@@ -70,8 +71,12 @@ class TestConservation:
 
         result = run(SimConfig(n_max=50, h_max=100, seed=6, policy=policy), hook)
         assert all(checks)
-        ledger = result.ledger
-        assert ledger.total_sent == ledger.total_received == ledger.total
+        counts = result.ledger.kind_counts
+        assert sum(counts.values()) == result.ledger.total
+        n = {kind.name: counts.get(kind, 0) for kind in MessageKind}
+        assert n["CONTACT"] == n["CONTACT_REPLY"]
+        assert n["LINK_REQUEST"] == n["LINK_ACK"] == result.graph.edge_count
+        assert n["COPY_REQUEST"] == n["COPY_ACK"] + n["COPY_DENY"]
         copies = sum(f.copy_count for f in result.families.values())
         slots = sum(h.used for h in result.hosts.values())
         assert copies == slots
@@ -91,9 +96,11 @@ class TestConservation:
     def test_bin_sums_match_totals(self):
         result = run(SimConfig(n_max=50, h_max=100, seed=2))
         ledger = result.ledger
-        assert sum(ledger.sys_sent_bins.values()) == ledger.total
-        for do, bins in ledger.do_sent_bins.items():
-            assert sum(bins.values()) == ledger.do_sent[do]
+        bin_size = result.config.bin_size
+        assert sum(ledger_views.sys_sent_bins(ledger, bin_size).values()) == ledger.total
+        do_sent = ledger_views.do_sent(ledger)
+        for do, bins in ledger_views.do_sent_bins(ledger, bin_size).items():
+            assert sum(bins.values()) == do_sent[do]
         assert ledger.phase_messages[Phase.GROWTH] + \
             ledger.phase_messages[Phase.MAINTENANCE] == ledger.total
 
@@ -194,9 +201,10 @@ class TestMessageLedger:
         world = World(SimConfig(n_max=2, h_max=2, bin_size=100))
         world.t = 250
         world.send(MessageKind.CONTACT, 1, 2)
-        assert world.ledger.do_sent_bins == {1: {2: 1}}
-        assert world.ledger.do_received_bins == {2: {2: 1}}
-        assert world.ledger.sys_sent_bins == world.ledger.sys_received_bins == {2: 1}
+        views = ledger_views.views(world.ledger, world.config.bin_size)
+        assert views["do_sent_bins"] == {1: {2: 1}}
+        assert views["do_received_bins"] == {2: {2: 1}}
+        assert views["sys_sent_bins"] == views["sys_received_bins"] == {2: 1}
 
     def test_each_message_counts_once_sent_once_received(self):
         world = World(SimConfig(n_max=2, h_max=2, bin_size=100))
@@ -205,10 +213,8 @@ class TestMessageLedger:
             world.send(MessageKind.CONTACT, 1, 2)
         ledger = world.ledger
         assert ledger.total == 7
-        assert ledger.total_sent == 7
-        assert ledger.total_received == 7
-        assert ledger.do_sent == {1: 7}
-        assert ledger.do_received == {2: 7}
+        assert ledger_views.do_sent(ledger) == {1: 7}
+        assert ledger_views.do_received(ledger) == {2: 7}
         assert ledger.kind_counts == {MessageKind.CONTACT: 7}
 
     def test_host_endpoints_tracked_separately(self):
@@ -216,20 +222,16 @@ class TestMessageLedger:
         world.t = 10
         world.send(MessageKind.COPY_REQUEST, 1, 9)
         world.send(MessageKind.COPY_ACK, 9, 1)
-        ledger = world.ledger
-        assert ledger.do_sent == {1: 1}
-        assert ledger.host_received == {9: 1}
-        assert ledger.host_sent == {9: 1}
-        assert ledger.do_received == {1: 1}
-        assert 9 not in ledger.do_received
+        views = ledger_views.views(world.ledger, world.config.bin_size)
+        assert views["do_sent"] == {1: 1}
+        assert views["host_received"] == {9: 1}
+        assert views["host_sent"] == {9: 1}
+        assert views["do_received"] == {1: 1}
+        assert 9 not in views["do_received"]
 
 
 def column_lengths(ledger):
     return [len(c) for c in (ledger.kinds, ledger.times, ledger.senders, ledger.receivers)]
-
-
-FAN_VIEWS = ("kind_counts", "do_sent", "do_received", "host_sent", "host_received",
-             "do_sent_bins", "sys_sent_bins")
 
 
 class TestBulkSends:
@@ -253,8 +255,8 @@ class TestBulkSends:
             bulk.send_each(kind, one, many)
         for other in many:
             single.send(kind, *((other, one) if fan_in else (one, other)))
-        for name in FAN_VIEWS:
-            assert getattr(bulk.ledger, name) == getattr(single.ledger, name), name
+        assert bulk.ledger.kind_counts == single.ledger.kind_counts
+        assert ledger_views.views(bulk.ledger, 100) == ledger_views.views(single.ledger, 100)
         assert bulk.ledger.total == single.ledger.total == 1 + len(many)
 
     @pytest.mark.parametrize("fan_in", [False, True])
@@ -295,10 +297,7 @@ class TestBulkSends:
 # Every view of the ledger for SimConfig(n_max=60, h_max=120, seed=8) under
 # each policy, as the earlier dict-per-view ledger reported them: kind counts,
 # phase counts, and the sha256 hex digest of
-# json.dumps({name: getattr(ledger, name) for name in LEDGER_VIEWS},
-# sort_keys=True).encode().
-LEDGER_VIEWS = ("do_sent", "do_received", "host_sent", "host_received", "do_sent_bins",
-                "do_received_bins", "sys_sent_bins", "sys_received_bins")
+# json.dumps(ledger_views.views(ledger, 100), sort_keys=True).encode().
 PINNED_LEDGERS = {
     PolicyKind.LEAST: (
         {"contact": 108, "contact_reply": 108, "copy_ack": 266, "copy_deny": 109,
@@ -324,11 +323,11 @@ PINNED_LEDGERS = {
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_ledger_views_pinned(policy):
     kinds, phases, views_sha256 = PINNED_LEDGERS[policy]
-    ledger = run(SimConfig(n_max=60, h_max=120, seed=8, policy=policy)).ledger
+    result = run(SimConfig(n_max=60, h_max=120, seed=8, policy=policy))
+    ledger = result.ledger
     assert {k.value: n for k, n in ledger.kind_counts.items()} == kinds
     assert {p.value: n for p, n in ledger.phase_messages.items()} == phases
-    views = {name: getattr(ledger, name) for name in LEDGER_VIEWS}
-    dump = json.dumps(views, sort_keys=True).encode()
+    dump = json.dumps(ledger_views.views(ledger, result.config.bin_size), sort_keys=True).encode()
     assert hashlib.sha256(dump).hexdigest() == views_sha256
 
 

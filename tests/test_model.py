@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import ledger_views
 from uswsim.engine import World
 from uswsim.model import (
     HostBand,
@@ -164,5 +165,5 @@ class TestMessage:
         # DO 1 and host 1 are different endpoints: the kind says which is which.
         world = World(SimConfig(n_max=2, h_max=2))
         world.send(MessageKind.COPY_REQUEST, 1, 1)
-        assert world.ledger.do_sent == {1: 1}
-        assert world.ledger.host_received == {1: 1}
+        assert ledger_views.do_sent(world.ledger) == {1: 1}
+        assert ledger_views.host_received(world.ledger) == {1: 1}

@@ -1,5 +1,6 @@
 import pytest
 
+import ledger_views
 from uswsim.engine import World
 from uswsim.model import MessageKind, PolicyKind, SimConfig
 from uswsim.preservation import (
@@ -208,7 +209,7 @@ class TestSacrifice:
         beneficiary = add_family(world, 2, home=11)
         try_sacrifice(beneficiary, 50, world)
         assert world.ledger.kind_counts[MessageKind.SACRIFICE_DIRECTIVE] == 1
-        assert world.ledger.do_received[1] == 1
+        assert ledger_views.do_received(world.ledger)[1] == 1
 
     def test_donor_queued_to_replenish(self):
         world = make_world(host_capacity=1)
@@ -244,7 +245,8 @@ class TestAnnounceNewHost:
         sent = announce_new_host(fam, 40, world)
         assert sent == 4
         assert world.ledger.kind_counts[MessageKind.HOST_ANNOUNCE] == 4
-        total_received = sum(world.ledger.do_received.get(d, 0) for d in (2, 3, 4, 5))
+        received = ledger_views.do_received(world.ledger)
+        total_received = sum(received.get(d, 0) for d in (2, 3, 4, 5))
         assert total_received == 4
 
     def test_no_friends_no_messages(self):
