@@ -1,7 +1,7 @@
 """Post-run analytics and serialization: tree-ring layout, scaling fits,
 CSV/JSON emission and snapshot SVGs.
 
-Everything here is a pure transform of a completed RunResult, so exports
+Everything here is a pure transform of a finished run's World, so exports
 are trivially reproducible: the same run yields byte-identical files.
 """
 
@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .engine import Phase, RunResult
+from .engine import Phase, World
 from .fileio import atomic_write
-from .model import HostBand, classify_condition, host_band, status_value
+from .model import HostBand, PreservationStatus, classify_condition, host_band, status_value
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ CSV_HEADER = ("t,phase,effectiveness,cum_sent,"
               "host_grey,host_white,host_red,host_yellow,host_green,host_blue")
 
 
-def emit_timeseries_csv(result: RunResult, path):
+def emit_timeseries_csv(result: World, path):
     """One row per time bin with status and host-band fractions."""
     boundary = result.phase_boundary_t
     try:
@@ -122,7 +122,7 @@ def emit_timeseries_csv(result: RunResult, path):
         raise OSError(f"writing timeseries CSV to {path}: {exc}") from exc
 
 
-def summary_dict(result: RunResult) -> dict:
+def summary_dict(result: World) -> dict:
     hosts = result.hosts
     h_max = result.config.h_max
     # run() always samples a last bin at final_t, over every family.
@@ -130,30 +130,18 @@ def summary_dict(result: RunResult) -> dict:
     full = sum(1 for h in hosts.values() if h.free_slots == 0)
     white = sum(1 for h in hosts.values() if h.used == 0)
     ledger = result.ledger
-    growth = ledger.phase_messages[Phase.GROWTH]
-    maint = ledger.phase_messages[Phase.MAINTENANCE]
+    phases = ledger.phase_messages
     cfg = result.config
     return {
-        "config": {
-            "n_max": cfg.n_max, "h_max": cfg.h_max, "r_min": cfg.r_min,
-            "r_max": cfg.r_max, "host_capacity": cfg.host_capacity,
-            "policy": cfg.policy.value, "seed": cfg.seed,
-            "bin_size": cfg.bin_size, "intro_interval": cfg.intro_interval,
-            "link_probability": cfg.link_probability,
-            "extra_link_fraction": cfg.extra_link_fraction,
-            "max_events": cfg.max_events,
-        },
+        "config": {**asdict(cfg), "policy": cfg.policy.value},
         "seed": cfg.seed,
         "condition": classify_condition(cfg).value,
         "terminated_by": result.terminated_by,
         "steady_state_t": result.steady_state_t,
         "final_t": result.final_t,
         "phase_boundary_t": result.phase_boundary_t,
-        "messages": {
-            "total": ledger.total,
-            "growth": growth,
-            "maintenance": maint,
-        },
+        "messages": {"total": ledger.total, "growth": phases[Phase.GROWTH],
+                     "maintenance": phases[Phase.MAINTENANCE]},
         "final_effectiveness": round(result.final_effectiveness, 6),
         "status_fractions": {
             "none_made": round(none_made, 6),
@@ -177,7 +165,7 @@ def summary_dict(result: RunResult) -> dict:
     }
 
 
-def emit_summary_json(result: RunResult, path):
+def emit_summary_json(result: World, path):
     try:
         with atomic_write(path) as fh:
             json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
@@ -186,7 +174,7 @@ def emit_summary_json(result: RunResult, path):
         raise OSError(f"writing summary JSON to {path}: {exc}") from exc
 
 
-def snapshot_state(result: RunResult, t: int):
+def snapshot_state(result: World, t: int):
     """Reconstruct per-family copy counts and host usage as of event t."""
     if t < 0 or t > result.final_t:
         raise ValueError(f"snapshot t={t} outside run of length {result.final_t}")
@@ -206,8 +194,9 @@ _BAND_FILL = {
     HostBand.GREY: "#bbbbbb", HostBand.WHITE: "#ffffff", HostBand.RED: "#d62728",
     HostBand.YELLOW: "#e6c229", HostBand.GREEN: "#2ca02c", HostBand.BLUE: "#1f77b4",
 }
-_STATUS_COLS = ["#d62728", "#e6c229", "#2ca02c", "#1f77b4"]
-_HOST_COLS = ["#bbbbbb", "#ffffff", "#d62728", "#e6c229", "#2ca02c", "#1f77b4"]
+# Histogram colours in series column order: statuses by rank, bands as declared.
+_STATUS_COLS = [_STATUS_FILL[s.numeric] for s in PreservationStatus]
+_HOST_COLS = [_BAND_FILL[band] for band in HostBand]
 
 
 def _svg_histogram(series, colors, x0, y0, width, height, upto):
@@ -230,7 +219,7 @@ def _svg_histogram(series, colors, x0, y0, width, height, upto):
     return parts
 
 
-def emit_snapshot_svg(result: RunResult, t: int, path):
+def emit_snapshot_svg(result: World, t: int, path):
     """Four-quadrant composite: DO tree ring, host grid, both histograms.
 
     The status line above each half reports the simulation time and how

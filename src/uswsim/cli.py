@@ -26,10 +26,27 @@ from .engine import Phase, run
 from .fileio import atomic_write
 from .model import PolicyKind, SimConfig
 
-POLICY_NAMES = {"least": PolicyKind.LEAST, "moderate": PolicyKind.MODERATE,
-                "most": PolicyKind.MOST}
-
 DEFAULTS = SimConfig()
+
+# The run parameters, one row each: flag dest (also the --config key), the
+# SimConfig field it sets, help text.  A value has the type of the field's
+# default; the policy is one of the PolicyKind values.
+CONFIG_TABLE = (
+    ("policy", "policy", "preservation policy"),
+    ("n_max", "n_max", "number of DOs to introduce"),
+    ("h_max", "h_max", "size of the host universe"),
+    ("r_min", "r_min", "minimum preservation copies"),
+    ("r_max", "r_max", "maximum preservation copies"),
+    ("capacity", "host_capacity", "foreign-copy slots per host"),
+    ("seed", "seed", "random seed"),
+    ("bin_size", "bin_size", "events per message bin"),
+    ("intro_interval", "intro_interval", "events between introductions"),
+    ("link_prob", "link_probability", "per-contact link probability"),
+    ("extra_link_frac", "extra_link_fraction",
+     "fraction of gleaned candidates befriended after the first link"),
+    ("max_events", "max_events", "hard stop on event count"),
+)
+POLICIES = [kind.value for kind in PolicyKind]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,31 +64,14 @@ def positive_int(text: str) -> int:
 
 
 def _add_config_flags(p: _Parser):
-    p.add_argument("--policy", choices=sorted(POLICY_NAMES), default=None,
-                   help="preservation policy (default: least)")
-    p.add_argument("--n-max", type=int, default=None,
-                   help=f"number of DOs to introduce (default: {DEFAULTS.n_max})")
-    p.add_argument("--h-max", type=int, default=None,
-                   help=f"size of the host universe (default: {DEFAULTS.h_max})")
-    p.add_argument("--r-min", type=int, default=None,
-                   help=f"minimum preservation copies (default: {DEFAULTS.r_min})")
-    p.add_argument("--r-max", type=int, default=None,
-                   help=f"maximum preservation copies (default: {DEFAULTS.r_max})")
-    p.add_argument("--capacity", type=int, default=None,
-                   help=f"foreign-copy slots per host (default: {DEFAULTS.host_capacity})")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"random seed (default: {DEFAULTS.seed})")
-    p.add_argument("--bin-size", type=int, default=None,
-                   help=f"events per message bin (default: {DEFAULTS.bin_size})")
-    p.add_argument("--intro-interval", type=int, default=None,
-                   help=f"events between introductions (default: {DEFAULTS.intro_interval})")
-    p.add_argument("--link-prob", type=float, default=None,
-                   help=f"per-contact link probability (default: {DEFAULTS.link_probability})")
-    p.add_argument("--extra-link-frac", type=float, default=None,
-                   help="fraction of gleaned candidates befriended after the first link "
-                        f"(default: {DEFAULTS.extra_link_fraction})")
-    p.add_argument("--max-events", type=int, default=None,
-                   help=f"hard stop on event count (default: {DEFAULTS.max_events})")
+    for dest, field, text in CONFIG_TABLE:
+        default = getattr(DEFAULTS, field)
+        if isinstance(default, PolicyKind):
+            default, kind = default.value, {"choices": POLICIES}
+        else:
+            kind = {"type": type(default)}
+        p.add_argument("--" + dest.replace("_", "-"), default=None,
+                       help=f"{text} (default: {default})", **kind)
     p.add_argument("--config", metavar="FILE",
                    help="JSON file of flag values; explicit flags override it")
     p.add_argument("--out-dir", default=None,
@@ -84,7 +84,7 @@ def build_parser() -> _Parser:
                                  "small-world friendship graph.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[], help="one simulation run")
+    p_run = sub.add_parser("run", help="one simulation run")
     _add_config_flags(p_run)
     p_run.add_argument("--snapshots", default="",
                        help="comma-separated event times to render as SVG snapshots")
@@ -112,6 +112,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+# What a --config value must be, by the type of its field's default.
+_JSON_RULES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    PolicyKind: ("one of " + ", ".join(POLICIES), lambda v: v in POLICIES),
+}
+
+
 def config_from_args(args) -> SimConfig:
     """Build a SimConfig from flags, falling back to --config values then
     package defaults; explicit flags always win."""
@@ -121,51 +129,25 @@ def config_from_args(args) -> SimConfig:
             file_vals = json.load(fh)
         if not isinstance(file_vals, dict):
             raise UsageError(f"{args.config}: expected a JSON object of flag values")
-        unknown = sorted(set(file_vals) - set(_CONFIG_ATTR))
+        unknown = sorted(set(file_vals) - {dest for dest, _, _ in CONFIG_TABLE})
         if unknown:
             raise UsageError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
-
-    def pick(key):
-        cli_val = getattr(args, key)
-        if cli_val is not None:
-            return cli_val
-        if key in file_vals:
-            return file_vals[key]
-        return getattr(DEFAULTS, _CONFIG_ATTR[key])
-
-    policy_name = pick("policy")
-    if isinstance(policy_name, str):
-        if policy_name not in POLICY_NAMES:
-            raise UsageError(f"unknown policy {policy_name!r}")
-        policy_kind = POLICY_NAMES[policy_name]
-    else:
-        policy_kind = policy_name
+    values = {}
+    for dest, field, _ in CONFIG_TABLE:
+        kind = type(getattr(DEFAULTS, field))
+        wanted, fits = _JSON_RULES[kind]
+        if dest in file_vals and not fits(file_vals[dest]):
+            raise UsageError(f"{args.config}: {dest} must be {wanted}, "
+                             f"got {json.dumps(file_vals[dest])}")
+        value = getattr(args, dest)
+        if value is None:
+            value = file_vals.get(dest)
+        if value is not None:
+            values[field] = kind(value)
     try:
-        return SimConfig(
-            n_max=int(pick("n_max")),
-            h_max=int(pick("h_max")),
-            r_min=int(pick("r_min")),
-            r_max=int(pick("r_max")),
-            host_capacity=int(pick("capacity")),
-            policy=policy_kind,
-            seed=int(pick("seed")),
-            bin_size=int(pick("bin_size")),
-            intro_interval=int(pick("intro_interval")),
-            link_probability=float(pick("link_prob")),
-            extra_link_fraction=float(pick("extra_link_frac")),
-            max_events=int(pick("max_events")),
-        )
+        return SimConfig(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-_CONFIG_ATTR = {
-    "policy": "policy", "n_max": "n_max", "h_max": "h_max", "r_min": "r_min",
-    "r_max": "r_max", "capacity": "host_capacity", "seed": "seed",
-    "bin_size": "bin_size", "intro_interval": "intro_interval",
-    "link_prob": "link_probability", "extra_link_frac": "extra_link_fraction",
-    "max_events": "max_events",
-}
 
 
 class UsageError(Exception):
@@ -183,8 +165,7 @@ def run_name(config: SimConfig) -> str:
 
 
 def _run_worker(config: SimConfig) -> dict:
-    result = run(config)
-    return summary_dict(result)
+    return summary_dict(run(config))
 
 
 def snapshot_times(text: str) -> list[int]:
@@ -249,10 +230,11 @@ def compare_policies(policies, base_config: SimConfig, seeds, jobs=1):
         by_policy.setdefault(pol, []).append(summ)
     table = {}
     for pol, rows in by_policy.items():
+        steady = [r["steady_state_t"] for r in rows]
         table[pol.value] = {
             "seeds": len(rows),
-            "median_steady_state_t": median([r["steady_state_t"] or r["final_t"]
-                                             for r in rows]),
+            # A run cut at max_events has no steady-state time to count.
+            "median_steady_state_t": None if None in steady else median(steady),
             "median_total_messages": median([r["messages"]["total"] for r in rows]),
             "median_final_effectiveness": median([r["final_effectiveness"] for r in rows]),
             "median_hosts_with_unused_capacity": median(
@@ -268,16 +250,21 @@ def compare_policies(policies, base_config: SimConfig, seeds, jobs=1):
     return report
 
 
+def _dash(value, spec="") -> str:
+    """A table cell: ``value`` formatted by ``spec``, or "-" for None."""
+    return "-" if value is None else format(value, spec)
+
+
 def cmd_compare(args) -> int:
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
     if len(names) < 2:
         raise UsageError("compare needs at least 2 policies")
-    bad = [n for n in names if n not in POLICY_NAMES]
+    bad = [n for n in names if n not in POLICIES]
     if bad:
         raise UsageError(f"unknown policies: {', '.join(bad)}")
     config = config_from_args(args)
     seeds = list(range(1, args.seeds + 1))
-    report = compare_policies([POLICY_NAMES[n] for n in names], config, seeds,
+    report = compare_policies([PolicyKind(n) for n in names], config, seeds,
                               jobs=args.jobs)
     out = out_dir_of(args)
     path = os.path.join(out, f"compare_n{config.n_max}_seeds{args.seeds}.json")
@@ -288,7 +275,7 @@ def cmd_compare(args) -> int:
     print(header)
     for name in names:
         row = report["policies"][name]
-        print(f"{name:>10} {row['median_steady_state_t']:>9.0f} "
+        print(f"{name:>10} {_dash(row['median_steady_state_t'], '.0f'):>9} "
               f"{row['median_total_messages']:>9.0f} "
               f"{row['median_final_effectiveness']:>8.4f} "
               f"{row['median_hosts_with_unused_capacity']:>13.0f}")
@@ -302,7 +289,7 @@ def sweep_sizes(sizes, base_config: SimConfig, out_dir=None, jobs=1):
     policy; growth-phase message totals feed the scaling fit."""
     configs = []
     for n in sizes:
-        for pol in (PolicyKind.LEAST, PolicyKind.MODERATE, PolicyKind.MOST):
+        for pol in PolicyKind:
             configs.append(replace(base_config, n_max=n, host_capacity=2 * n,
                                    policy=pol))
     if jobs > 1:
@@ -366,7 +353,7 @@ def cmd_analyze(args) -> int:
     for path, summ in rows:
         cfg = summ["config"]
         print(f"{os.path.basename(path):>40} {cfg['policy']:>10} "
-              f"{summ['steady_state_t'] or summ['final_t']:>9} "
+              f"{_dash(summ['steady_state_t']):>9} "
               f"{summ['messages']['total']:>9} {summ['final_effectiveness']:>8.4f}")
     return 0
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from random import Random
 
 import numpy as np
@@ -88,36 +87,6 @@ class MessageLedger:
         return {kind: counts[kind.code] for kind in MessageKind if counts[kind.code]}
 
 
-@dataclass
-class RunResult:
-    config: SimConfig
-    terminated_by: str
-    final_t: int
-    phase_boundary_t: int | None
-    bin_ts: list[int]
-    status_series: list[tuple[float, float, float, float]]
-    host_series: list[tuple[float, float, float, float, float, float]]
-    effectiveness_series: list[float]
-    cum_sent_series: list[int]
-    ledger: MessageLedger
-    graph: FriendshipGraph
-    families: dict[int, Family]
-    hosts: dict[int, Host]
-    copy_events: list[tuple[int, int, int, int]]
-    discovery_events: list[tuple[int, int]]
-    placements: int
-    sacrifices: int
-    denials: int
-
-    @property
-    def steady_state_t(self) -> int | None:
-        return self.final_t if self.terminated_by == "steady_state" else None
-
-    @property
-    def final_effectiveness(self) -> float:
-        return self.effectiveness_series[-1] if self.effectiveness_series else 0.0
-
-
 # Queue action tags.
 _WANDER = 0
 _PLACE = 1
@@ -170,6 +139,20 @@ class World:
         self.host_series: list[tuple[float, float, float, float, float, float]] = []
         self.effectiveness_series: list[float] = []
         self.cum_sent_series: list[int] = []
+
+    # ----- what a finished run reports -----------------------------------
+
+    @property
+    def final_t(self) -> int:
+        return self.t
+
+    @property
+    def steady_state_t(self) -> int | None:
+        return self.t if self.terminated_by == "steady_state" else None
+
+    @property
+    def final_effectiveness(self) -> float:
+        return self.effectiveness_series[-1] if self.effectiveness_series else 0.0
 
     # ----- ledger / bookkeeping hooks used by preservation ---------------
 
@@ -411,15 +394,14 @@ def phase_of(world: World) -> Phase:
 
 def detect_steady_state(world: World) -> bool:
     """The queue is empty and nobody below r_max can reach any opening."""
-    if world.queue:
-        return False
-    if world.introduced < world.config.n_max or world.wanderers:
+    if world.queue or phase_of(world) is Phase.GROWTH:
         return False
     return not any(world.family_has_opening(f) for f in world.families.values())
 
 
-def run(config: SimConfig, invariant_hook=None) -> RunResult:
-    """Execute one simulation to steady state (or the event cap)."""
+def run(config: SimConfig, invariant_hook=None) -> World:
+    """Execute one simulation to steady state (or the event cap) and return
+    the finished world."""
     world = World(config)
     cfg = config
     bin_size = cfg.bin_size
@@ -462,23 +444,4 @@ def run(config: SimConfig, invariant_hook=None) -> RunResult:
             invariant_hook(world, event)
     if not world.bin_ts or world.bin_ts[-1] != world.t:
         world.sample_bin()
-    return RunResult(
-        config=cfg,
-        terminated_by=world.terminated_by,
-        final_t=world.t,
-        phase_boundary_t=world.phase_boundary_t,
-        bin_ts=world.bin_ts,
-        status_series=world.status_series,
-        host_series=world.host_series,
-        effectiveness_series=world.effectiveness_series,
-        cum_sent_series=world.cum_sent_series,
-        ledger=world.ledger,
-        graph=world.graph,
-        families=world.families,
-        hosts=world.hosts,
-        copy_events=world.copy_events,
-        discovery_events=world.discovery_events,
-        placements=world.placements,
-        sacrifices=world.sacrifices,
-        denials=world.denials,
-    )
+    return world

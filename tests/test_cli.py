@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from uswsim.cli import build_parser, config_from_args, main
-from uswsim.model import PolicyKind
+from uswsim.analysis import summary_dict
+from uswsim.cli import CONFIG_TABLE, build_parser, config_from_args, main
+from uswsim.engine import run
+from uswsim.model import PolicyKind, SimConfig
 
 FAST = ["--n-max", "30", "--h-max", "60", "--max-events", "20000"]
 
@@ -75,6 +78,52 @@ class TestParsing:
         assert proc.returncode == 1
         assert message in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("values, message", [
+        ({"policy": 3}, "policy must be one of least, moderate, most, got 3"),
+        ({"n_max": 20.9}, "n_max must be an integer, got 20.9"),
+        ({"seed": True}, "seed must be an integer, got true"),
+        ({"link_prob": "0.5"}, 'link_prob must be a number, got "0.5"'),
+    ])
+    def test_bad_config_value_rejected_before_run(self, tmp_path, values, message):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        proc = invoke(["run", *FAST, "--config", str(cfg_file), "--out-dir", str(out)])
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert not out.exists()
+
+
+def _non_default(field):
+    """A valid value for ``field`` that differs from its default."""
+    default = getattr(SimConfig(), field)
+    if isinstance(default, PolicyKind):
+        return next(kind for kind in PolicyKind if kind is not default)
+    return default + 1 if isinstance(default, int) else default / 2
+
+
+class TestConfigTable:
+    def test_table_covers_every_config_field(self):
+        assert sorted(field for _, field, _ in CONFIG_TABLE) == \
+            sorted(f.name for f in fields(SimConfig))
+
+    @pytest.mark.parametrize("dest, field", [(dest, field) for dest, field, _ in CONFIG_TABLE])
+    def test_flag_and_config_key_reach_the_config(self, tmp_path, dest, field):
+        value = _non_default(field)
+        text = value.value if isinstance(value, PolicyKind) else value
+        flag = build_parser().parse_args(["run", "--" + dest.replace("_", "-"), str(text)])
+        assert getattr(config_from_args(flag), field) == value
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({dest: text}))
+        from_file = build_parser().parse_args(["run", "--config", str(cfg_file)])
+        assert getattr(config_from_args(from_file), field) == value
+
+    def test_summary_config_rebuilds_the_run_config(self):
+        cfg = SimConfig(n_max=5, h_max=10, policy=PolicyKind.MOST, seed=3)
+        written = summary_dict(run(cfg))["config"]
+        assert sorted(written) == sorted(f.name for f in fields(SimConfig))
+        assert SimConfig(**{**written, "policy": PolicyKind(written["policy"])}) == cfg
 
 
 class TestRunCommand:
@@ -148,6 +197,16 @@ class TestCompareCommand:
         assert set(report["policies"]) == {"moderate", "most"}
         assert report["seed_count"] == 2
 
+    def test_capped_runs_report_no_steady_state_time(self, tmp_path):
+        proc = invoke(["compare", "--policies", "least,most", "--seeds", "2", *FAST,
+                       "--max-events", "300", "--out-dir", str(tmp_path)])
+        assert proc.returncode == 0
+        report = json.loads((tmp_path / "compare_n30_seeds2.json").read_text())
+        for row in report["policies"].values():
+            assert row["median_steady_state_t"] is None
+        table = proc.stdout.splitlines()
+        assert [line.split()[1] for line in table[1:3]] == ["-", "-"]
+
 
 @pytest.mark.parametrize("command", [["compare", "--seeds", "1", *FAST],
                                      ["sweep", "--sizes", "5,10,20", "--h-max", "60"]])
@@ -185,6 +244,12 @@ class TestAnalyzeCommand:
         proc = invoke(["analyze", str(summary)])
         assert proc.returncode == 0
         assert "least" in proc.stdout
+
+    def test_capped_run_shows_no_steady_state_time(self, tmp_path):
+        invoke(["run", *FAST, "--max-events", "300", "--out-dir", str(tmp_path)])
+        proc = invoke(["analyze", str(tmp_path / "run_least_n30_seed1.json")])
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[1].split()[2] == "-"
 
     def test_missing_input_is_runtime_failure(self):
         proc = invoke(["analyze", "/nonexistent/path.json"])

@@ -117,24 +117,7 @@ class TestSteadyState:
     def test_feast_all_at_r_max_is_steady(self):
         cfg = SimConfig(n_max=30, h_max=60, host_capacity=60, seed=5,
                         r_min=1, r_max=2, policy=PolicyKind.MOST)
-        world = World(cfg)
-        while world.introduced < cfg.n_max or world.queue:
-            if world.introduced < cfg.n_max and world.t % cfg.intro_interval == 0:
-                world.t += 1
-                world.introduce_do()
-            elif world.queue:
-                world.t += 1
-                item = world.queue.popleft()
-                if item[0] == 0:
-                    world._process_wander(item[1])
-                elif item[0] == 1:
-                    world._process_place(item[1], item[2])
-                elif item[0] == 2:
-                    world._process_announce(item[1], item[2])
-                else:
-                    world._process_chase(item[1])
-            else:
-                world.t += 1
+        world = run(cfg)
         assert all(f.copy_count == f.r_max for f in world.families.values())
         assert detect_steady_state(world)
 
