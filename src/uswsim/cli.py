@@ -125,8 +125,15 @@ def config_from_args(args) -> SimConfig:
     package defaults; explicit flags always win."""
     file_vals = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            file_vals = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                file_vals = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"{args.config}: cannot read config file: "
+                             f"{exc.strerror}") from exc
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise UsageError(f"{args.config}: config file is not valid JSON: "
+                             f"{exc}") from exc
         if not isinstance(file_vals, dict):
             raise UsageError(f"{args.config}: expected a JSON object of flag values")
         unknown = sorted(set(file_vals) - {dest for dest, _, _ in CONFIG_TABLE})

@@ -25,6 +25,11 @@ BFS_BLOCK = 512
 # ceil(nodes / 64) uint64 words each per edge, 256 KiB each at 2000 nodes.
 TRIANGLE_BLOCK = 1024
 
+# Most Mersenne Twister words uniform_random_graph draws at once, 32 KiB:
+# each batch turns its ~4k pairs into Python ints, so larger batches add
+# to peak memory (a 2000-node baseline needs ~100k words) and gain nothing.
+DRAW_BATCH = 1 << 13
+
 
 class FriendshipGraph:
     """Undirected simple graph over DO ids (no self-loops, no parallel edges)."""
@@ -316,16 +321,58 @@ def _largest_component(graph: FriendshipGraph) -> list[int]:
 
 
 def uniform_random_graph(n: int, m: int, rng: Random) -> FriendshipGraph:
-    """Baseline G(n, m): m distinct edges drawn uniformly over 1..n."""
+    """Baseline G(n, m): m distinct edges drawn uniformly over 1..n.
+
+    Stream contract: the result has the same edges, added in the same
+    order (so each ``adj[u]`` iterates in the same order), and ``rng`` ends
+    in the same state, as drawing pairs ``u = rng.randrange(1, n + 1)``,
+    ``v = rng.randrange(1, n + 1)`` and adding each new edge, skipping
+    ``u == v`` and repeats, until there are m.  The words are drawn in bulk
+    and decoded here.  ``randrange(1, n + 1)`` keeps the top
+    ``n.bit_length()`` bits of one 32-bit Mersenne Twister word and draws
+    again while they are n or more, and ``getrandbits(32 * w)`` holds the
+    next w such words, first word least significant.  That word order is
+    CPython's; the per-pair oracle in the tests guards it.
+    """
     limit = n * (n - 1) // 2
     if m > limit:
         raise ValueError(f"{m} edges exceed the {limit} possible on {n} nodes")
     graph = FriendshipGraph()
+    adj = graph.adj
     for u in range(1, n + 1):
-        graph.add_node(u)
-    while graph.edge_count < m:
-        u = rng.randrange(1, n + 1)
-        v = rng.randrange(1, n + 1)
-        if u != v:
-            graph.add_edge(u, v)
+        adj[u] = set()
+    k = n.bit_length()
+    # A pair's first node, drawn in the batch before its second one.
+    pending = np.empty(0, dtype=np.uint32)
+    count = 0
+    while count < m:
+        state = rng.getstate()
+        # 1.1 times the expected words for the edges still missing: with e
+        # edges in, a pair is new with chance 2 * (limit - e) / n**2, a draw
+        # is kept with chance n / 2**k, and the log approximates the sum of
+        # 1 / (limit - e) over the missing e.
+        missing = math.log((limit - count + 0.5) / (limit - m + 0.5))
+        words = min(DRAW_BATCH, int(1.1 * n * (1 << k) * missing) + 64)
+        bits = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        draws = np.frombuffer(bits, dtype="<u4") >> (32 - k)
+        kept = np.flatnonzero(draws < n)
+        nodes = np.concatenate((pending, draws[kept] + 1))
+        pairs = len(nodes) // 2
+        # Words drawn up to and including each pair's second node.
+        ends = kept[1 - len(pending)::2] + 1
+        pending = nodes[2 * pairs:]
+        us, vs = nodes[0:2 * pairs:2], nodes[1:2 * pairs:2]
+        keep = us != vs
+        for u, v, end in zip(us[keep].tolist(), vs[keep].tolist(), ends[keep].tolist()):
+            row = adj[u]
+            if v not in row:
+                row.add(v)
+                adj[v].add(u)
+                count += 1
+                if count == m:
+                    # Leave rng just past the draw that completed the graph.
+                    rng.setstate(state)
+                    rng.getrandbits(32 * end)
+                    break
+    graph.edge_count = m
     return graph

@@ -79,6 +79,24 @@ class TestParsing:
         assert message in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read config file: No such file or directory"),
+        ("directory", "cannot read config file: Is a directory"),
+        (b"{", "config file is not valid JSON: Expecting property name"),
+        (b'\xff{"seed": 1}', "config file is not valid JSON: 'utf-8' codec"),
+    ], ids=["missing", "unreadable", "bad-json", "bad-utf8"])
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    def test_bad_config_file_rejected(self, tmp_path, capsys, command, content, message):
+        cfg_file = tmp_path / "c.json"
+        if content == "directory":
+            cfg_file.mkdir()
+        elif content is not None:
+            cfg_file.write_bytes(content)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_file), "--out-dir", str(out)]) == 1
+        assert f"uswsim: error: {cfg_file}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("values, message", [
         ({"policy": 3}, "policy must be one of least, moderate, most, got 3"),
         ({"n_max": 20.9}, "n_max must be an integer, got 20.9"),

@@ -394,6 +394,43 @@ class TestUniformRandomGraph:
         with pytest.raises(ValueError):
             uniform_random_graph(4, 7, Random(1))
 
+    @pytest.mark.parametrize("n, m, seed", [
+        # Both sides of the bit_length steps at 64 and 128; at n = 2, 64 and
+        # 2048 randrange throws away half its words.
+        (2, 1, 1), (3, 2, 2), (63, 252, 1), (64, 256, 2), (65, 260, 3),
+        (129, 516, 4), (130, 520, 5), (2048, 8192, 6),
+        (1, 0, 7), (50, 0, 8),
+        # Complete graphs, the larger two past the first batch of draws.
+        (3, 3, 9), (64, 2016, 10), (130, 8385, 11),
+        # The 2000-node baseline of test_grown_graph_value_pinned:
+        # grow_graph(2000, seed=12) has 47016 edges.
+        (2000, 47016, 12 + 10_000),
+    ])
+    def test_matches_pairwise_oracle(self, n, m, seed):
+        rng, oracle_rng = Random(seed), Random(seed)
+        g = uniform_random_graph(n, m, rng)
+        expected = pairwise_random_graph(n, m, oracle_rng)
+        assert g.edge_count == m
+        assert g.edges() == expected.edges()
+        assert list(g.adj) == list(expected.adj)
+        for u in g.adj:
+            assert list(g.adj[u]) == list(expected.adj[u]), u
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+def pairwise_random_graph(n, m, rng):
+    """uniform_random_graph one pair of randrange draws at a time: the
+    stream contract's definition, sharing no decoding with the graph module."""
+    g = FriendshipGraph()
+    for u in range(1, n + 1):
+        g.add_node(u)
+    while g.edge_count < m:
+        u = rng.randrange(1, n + 1)
+        v = rng.randrange(1, n + 1)
+        if u != v:
+            g.add_edge(u, v)
+    return g
+
 
 class TestWanderSequence:
     def test_contact_move_contact_link_sequence_exists(self):
