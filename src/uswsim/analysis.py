@@ -23,7 +23,6 @@ class TreeRingLayout:
     """Polar placement of DOs: oldest at the center, rings filling outward."""
 
     positions: dict[int, tuple[int, int]]  # do_id -> (ring, slot)
-    ring_capacities: list[int]
 
 
 @dataclass(frozen=True)
@@ -31,8 +30,6 @@ class ScalingFit:
     sizes: list[int]
     totals: list[int]
     slope: float
-    intercept: float
-    residual: float
     marginal_slope: float | None
 
 
@@ -57,8 +54,7 @@ def tree_ring_layout(dos: list[int]) -> TreeRingLayout:
             cap = ring_capacity(ring)
         positions[do] = (ring, slot)
         slot += 1
-    capacities = [ring_capacity(r) for r in range(ring + 1)]
-    return TreeRingLayout(positions, capacities)
+    return TreeRingLayout(positions)
 
 
 def fit_growth_exponent(sweep: list[tuple[int, int]]) -> ScalingFit:
@@ -79,8 +75,7 @@ def fit_growth_exponent(sweep: list[tuple[int, int]]) -> ScalingFit:
     x = np.log(np.array(sizes, dtype=float))
     y = np.log(np.array(totals, dtype=float))
     a = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), res, _, _ = np.linalg.lstsq(a, y, rcond=None)
-    residual = float(res[0]) if res.size else 0.0
+    (slope, _), _, _, _ = np.linalg.lstsq(a, y, rcond=None)
 
     marg_x, marg_y = [], []
     for (n1, t1), (n2, t2) in zip(sweep, sweep[1:]):
@@ -95,7 +90,7 @@ def fit_growth_exponent(sweep: list[tuple[int, int]]) -> ScalingFit:
         ma = np.vstack([mx, np.ones_like(mx)]).T
         (mslope, _), _, _, _ = np.linalg.lstsq(ma, my, rcond=None)
         marginal = float(mslope)
-    return ScalingFit(sizes, totals, float(slope), float(intercept), residual, marginal)
+    return ScalingFit(sizes, totals, float(slope), marginal)
 
 
 CSV_HEADER = ("t,phase,effectiveness,cum_sent,"

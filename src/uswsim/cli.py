@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import suppress
 from dataclasses import replace
 from statistics import median
 
@@ -23,7 +22,7 @@ from .analysis import (
     summary_dict,
 )
 from .engine import Phase, run
-from .fileio import atomic_write
+from .fileio import atomic_write, removed_on_failure
 from .model import PolicyKind, SimConfig
 
 DEFAULTS = SimConfig()
@@ -175,16 +174,22 @@ def _run_worker(config: SimConfig) -> dict:
     return summary_dict(run(config))
 
 
-def snapshot_times(text: str) -> list[int]:
-    times = []
+def int_list(text: str, what: str) -> list[int]:
+    """Comma-separated integers; a non-integer is a usage error naming ``what``."""
+    values = []
     for part in [s for s in text.split(",") if s.strip()]:
         try:
-            t = int(part)
+            values.append(int(part))
         except ValueError:
-            raise UsageError(f"snapshot time {part.strip()!r} is not an integer") from None
+            raise UsageError(f"{what} {part.strip()!r} is not an integer") from None
+    return values
+
+
+def snapshot_times(text: str) -> list[int]:
+    times = int_list(text, "snapshot time")
+    for t in times:
         if t < 0:
             raise UsageError(f"snapshot time {t} is negative")
-        times.append(t)
     return times
 
 
@@ -205,17 +210,10 @@ def cmd_run(args) -> int:
     for t in snapshots:
         exports.append((base + f"_t{t}.svg",
                         lambda path, t=t: emit_snapshot_svg(result, t, path)))
-    written = []
-    try:
+    with removed_on_failure() as written:
         for path, export in exports:
             export(path)
             written.append(path)
-    except BaseException:
-        # A failed run leaves none of its outputs behind.
-        for path in written:
-            with suppress(OSError):
-                os.remove(path)
-        raise
     print(f"{run_name(config)}: steady_state_t={result.steady_state_t} "
           f"messages={result.ledger.total} "
           f"effectiveness={result.final_effectiveness:.4f}")
@@ -291,27 +289,29 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def sweep_configs(sizes, base_config: SimConfig) -> list[SimConfig]:
+    """The feast runs of a sweep: every policy at every size, capacity 2 x size."""
+    return [replace(base_config, n_max=n, host_capacity=2 * n, policy=pol)
+            for n in sizes for pol in PolicyKind]
+
+
 def sweep_sizes(sizes, base_config: SimConfig, out_dir=None, jobs=1):
-    """Feast runs (capacity twice the system size) for every size and
-    policy; growth-phase message totals feed the scaling fit."""
-    configs = []
-    for n in sizes:
-        for pol in PolicyKind:
-            configs.append(replace(base_config, n_max=n, host_capacity=2 * n,
-                                   policy=pol))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            growth = _growth_totals(configs, pool.map(run, configs), out_dir)
-    else:
-        growth = _growth_totals(configs, map(run, configs), out_dir)
-    fits = {pol.value: fit_growth_exponent(sorted(points))
-            for pol, points in growth.items()}
-    return fits
+    """Run ``sweep_configs``; growth-phase message totals feed the scaling
+    fit.  A failed sweep removes the CSVs it wrote."""
+    configs = sweep_configs(sizes, base_config)
+    with removed_on_failure() as written:
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                growth = _growth_totals(configs, pool.map(run, configs), out_dir, written)
+        else:
+            growth = _growth_totals(configs, map(run, configs), out_dir, written)
+        return {pol.value: fit_growth_exponent(sorted(points))
+                for pol, points in growth.items()}
 
 
-def _growth_totals(configs, results, out_dir):
+def _growth_totals(configs, results, out_dir, written):
     """Consume results one at a time, in config order: keep each run's
-    growth-message total, write its CSV, then let the run go."""
+    growth-message total, write its CSV (listed in ``written``), then let the run go."""
     growth = {}
     # Not zip(configs, results): zip's reused tuple would keep the previous
     # result alive while the next one is computed.
@@ -320,16 +320,18 @@ def _growth_totals(configs, results, out_dir):
         growth.setdefault(cfg.policy, []).append(
             (cfg.n_max, result.ledger.phase_messages[Phase.GROWTH]))
         if out_dir is not None:
-            emit_timeseries_csv(result, os.path.join(out_dir, run_name(cfg) + ".csv"))
+            path = os.path.join(out_dir, run_name(cfg) + ".csv")
+            emit_timeseries_csv(result, path)
+            written.append(path)
         # Drop it before the next run starts, so only one is alive at once.
         del result
     return growth
 
 
 def cmd_sweep(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    if sizes != sorted(sizes) or any(n < 2 for n in sizes):
-        raise UsageError("sizes must be ascending and each at least 2")
+    sizes = int_list(args.sizes, "size")
+    if sizes != sorted(set(sizes)) or any(n < 2 for n in sizes):
+        raise UsageError("sizes must be distinct, ascending and each at least 2")
     if len(sizes) < 3:
         raise UsageError("fit needs at least 3 sizes")
     config = config_from_args(args)
@@ -343,9 +345,12 @@ def cmd_sweep(args) -> int:
         for pol, fit in sorted(fits.items())
     }
     path = os.path.join(out, f"sweep_{'-'.join(map(str, sizes))}.json")
-    with atomic_write(path) as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # sweep_sizes removes its CSVs if it fails; they go too if the summary does.
+    with removed_on_failure() as written:
+        written += [os.path.join(out, run_name(c) + ".csv") for c in sweep_configs(sizes, config)]
+        with atomic_write(path) as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     for pol, row in summary.items():
         print(f"{pol:>10}: slope={row['slope']:.3f} marginal={row['marginal_slope']}")
     return 0

@@ -248,7 +248,6 @@ class World:
 
     def _connect(self, fam: Family, state: WanderState):
         fam.connected = True
-        fam.connect_t = self.t
         self.connected_order.append(fam.do_id)
         self.wanderers.pop(fam.do_id, None)
         fam.pending = True
@@ -274,25 +273,16 @@ class World:
     def _contact(self, fam: Family, host_id: int) -> bool:
         """One request to one host; returns True when a copy landed.
 
-        A host with room acknowledges.  A full host swaps in the requester
-        via a sacrifice when the requester is below its r_min and a donor
-        lives there; otherwise it denies.
-        """
-        host = self.hosts[host_id]
-        if host.free_slots > 0:
-            return place_copy(fam, host_id, self) is PlaceOutcome.PLACED
-        if fam.copy_count < fam.r_min and host.capacity > 0:
-            self.send(MessageKind.COPY_REQUEST, fam.do_id, host_id)
-            if try_sacrifice(fam, host_id, self) is not None:
-                self.send(MessageKind.COPY_ACK, host_id, fam.do_id)
-                return True
-            fam.believed_free[host_id] = 0
-            self.send(MessageKind.COPY_DENY, host_id, fam.do_id)
+        A full host may make room for a family below its r_min by a
+        sacrifice (``try_sacrifice``); any other request gets a plain yes or
+        no (``place_copy``).  Both send the exchange; a no counts a denial."""
+        if self.hosts[host_id].free_slots <= 0 and fam.copy_count < fam.r_min:
+            landed = try_sacrifice(fam, host_id, self) is not None
+        else:
+            landed = place_copy(fam, host_id, self) is PlaceOutcome.PLACED
+        if not landed:
             self.denials += 1
-            return False
-        place_copy(fam, host_id, self)
-        self.denials += 1
-        return False
+        return landed
 
     def _process_place(self, do: int, reason: Reason):
         """Survey attempt over the candidate list, best believed host first.
@@ -308,25 +298,19 @@ class World:
         fam = self.families[do]
         fam.pending = False
         c = fam.copy_count
-        if c >= fam.r_max:
-            return
         first = reason is Reason.FIRST_CONNECTION
         desired = copies_to_attempt(self.config.policy, c, fam.r_min, fam.r_max, first)
         if desired <= 0:
             return
         cap = self.config.host_capacity
-        placed = 0
-        contacts = 0
         new_hosts: list[int] = []
-        for host_id in candidate_hosts(fam, self):
-            if placed >= desired or contacts >= desired or fam.copy_count >= fam.r_max:
-                break
+        # Each contact lands at most one copy and desired <= r_max - c, so
+        # the budget alone keeps the family within r_max.
+        for host_id in candidate_hosts(fam, self)[:desired]:
             if fam.believed_free.get(host_id, cap) <= 0 and fam.copy_count >= fam.r_min:
                 break  # only hosts it believes full remain
-            contacts += 1
             fresh = host_id not in fam.known_hosts
             if self._contact(fam, host_id):
-                placed += 1
                 fam.known_hosts.add(host_id)
                 if fresh:
                     new_hosts.append(host_id)

@@ -24,3 +24,16 @@ def atomic_write(path):
         with suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+@contextmanager
+def removed_on_failure():
+    """Yield a list for the paths a block writes; remove them all if it fails."""
+    written = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            with suppress(OSError):
+                os.remove(path)
+        raise

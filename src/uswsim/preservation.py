@@ -23,7 +23,7 @@ class Family:
 
     __slots__ = ("do_id", "home_host", "r_min", "r_max", "copies",
                  "known_hosts", "believed_free", "pending",
-                 "chase_target", "connected", "intro_t", "connect_t")
+                 "chase_target", "connected", "intro_t")
 
     def __init__(self, do_id: int, home_host: int, r_min: int, r_max: int, intro_t: int):
         self.do_id = do_id
@@ -40,7 +40,6 @@ class Family:
         self.chase_target: int | None = None # announced host awaiting a visit
         self.connected = False
         self.intro_t = intro_t
-        self.connect_t: int | None = None
 
     @property
     def copy_count(self) -> int:
@@ -159,19 +158,22 @@ def eligible_donor(host: Host, world) -> int | None:
 
 
 def try_sacrifice(beneficiary: Family, host_id: int, world) -> int | None:
-    """Swap a surplus resident's copy for one of the beneficiary's.
+    """Ask a full host for a slot; it swaps out a surplus resident's copy if it can.
 
-    The host removes the donor's replica, stores the beneficiary's, and
-    directs the donor to replenish later.  Slot usage is unchanged.
-    Returns the donor's id, or None when no resident may donate.
-    """
+    The beneficiary, below its r_min, sends a request.  The host directs
+    the donor to replenish later, stores the beneficiary's replica in its
+    slot and acknowledges, or denies when no resident may donate.  Returns
+    the donor's id, or None on a denial."""
     host = world.hosts[host_id]
     if host.free_slots > 0:
         raise ValueError("sacrifice on a host with free slots")
     if beneficiary.copy_count >= beneficiary.r_min:
         raise ValueError("beneficiary is not below its r_min")
+    world.send(MessageKind.COPY_REQUEST, beneficiary.do_id, host_id)
+    beneficiary.believed_free[host_id] = 0
     donor_id = eligible_donor(host, world)
     if donor_id is None:
+        world.send(MessageKind.COPY_DENY, host_id, beneficiary.do_id)
         return None
     donor = world.families[donor_id]
     host.foreign.remove(donor_id)
@@ -179,9 +181,9 @@ def try_sacrifice(beneficiary: Family, host_id: int, world) -> int | None:
     world.note_copy(donor, host, -1)
     world.send(MessageKind.SACRIFICE_DIRECTIVE, host_id, donor_id)
     _store_replica(beneficiary, host, world)
-    beneficiary.believed_free[host_id] = 0
     donor.believed_free[host_id] = 0
     world.note_sacrifice(donor_id)
+    world.send(MessageKind.COPY_ACK, host_id, beneficiary.do_id)
     return donor_id
 
 

@@ -28,6 +28,11 @@ def _nested(pairs: Counter) -> dict[int, dict[int, int]]:
     return out
 
 
+def messages(ledger) -> list[tuple[MessageKind, int, int]]:
+    """(kind, sender, receiver) for each message, in ledger order."""
+    return [(kind, frm, to) for kind, _, frm, to in _rows(ledger)]
+
+
 def do_sent(ledger) -> dict[int, int]:
     return dict(Counter(frm for kind, _, frm, _ in _rows(ledger) if kind.from_do))
 

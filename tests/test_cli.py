@@ -244,6 +244,26 @@ class TestSweepCommand:
         proc = invoke(["sweep", "--sizes", "100,50,10"])
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("sizes,message", [
+        ("10,x,50", "size 'x' is not an integer"),
+        ("10,10,20", "sizes must be distinct"),
+    ])
+    def test_bad_sizes_rejected_before_out_dir(self, tmp_path, sizes, message):
+        out = tmp_path / "out"
+        proc = invoke(["sweep", "--sizes", sizes, "--out-dir", str(out)])
+        assert proc.returncode == 1
+        assert f"uswsim: error: {message}" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["run_most_n25_seed1.csv", "sweep_10-20-25.json"])
+    def test_failed_sweep_leaves_no_outputs(self, tmp_path, blocked):
+        # A directory where the last member CSV or the summary should go
+        # makes that write fail after the other member CSVs were written.
+        (tmp_path / blocked).mkdir()
+        proc = invoke(["sweep", "--sizes", "10,20,25", "--out-dir", str(tmp_path)])
+        assert proc.returncode == 2
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
+
     def test_small_sweep_fits_all_policies(self, tmp_path):
         proc = invoke(["sweep", "--sizes", "5,10,20", "--h-max", "60",
                        "--out-dir", str(tmp_path)])

@@ -2,7 +2,7 @@ import pytest
 
 import ledger_views
 from uswsim.engine import World
-from uswsim.model import MessageKind, PolicyKind, SimConfig
+from uswsim.model import MessageKind, PolicyKind, Reason, SimConfig
 from uswsim.preservation import (
     Family,
     PlaceOutcome,
@@ -157,12 +157,6 @@ class TestPlaceCopy:
 
 
 class TestSacrifice:
-    def setup_full_host(self, world, host_id, residents):
-        """residents: list of (do, copy_count_elsewhere) placed on host."""
-        for do, extra in residents:
-            copies = [host_id] + [100 + do * 10 + i for i in range(extra)]
-            add_family(world, do, home=do, copies=copies)
-
     def test_largest_surplus_donates(self):
         world = make_world(host_capacity=2)
         # Host 50: donor candidates with c=4 and c=3 (r_min=3).
@@ -187,11 +181,18 @@ class TestSacrifice:
         assert try_sacrifice(beneficiary, 50, world) == 2
 
     def test_nobody_above_r_min_means_none(self):
+        # The host denies, and the beneficiary learns it is full.
         world = make_world(host_capacity=2)
         add_family(world, 1, home=10, copies=(50, 61, 62))
         add_family(world, 2, home=11, copies=(50, 71, 72))
         beneficiary = add_family(world, 3, home=12)
+        beneficiary.believed_free[50] = 2  # stale news of room
         assert try_sacrifice(beneficiary, 50, world) is None
+        assert ledger_views.messages(world.ledger) == [
+            (MessageKind.COPY_REQUEST, 3, 50),
+            (MessageKind.COPY_DENY, 50, 3),
+        ]
+        assert beneficiary.believed_free[50] == 0
 
     def test_never_takes_a_last_copy(self):
         # A sole-copy resident is never chosen even when a tiny r_min
@@ -204,12 +205,33 @@ class TestSacrifice:
         assert try_sacrifice(beneficiary, 50, world) is None
 
     def test_directive_charged_to_donor(self):
+        # The beneficiary asks, the host directs the donor and acknowledges.
         world = make_world(host_capacity=1)
         add_family(world, 1, home=10, copies=(50, 61, 62, 63))
         beneficiary = add_family(world, 2, home=11)
         try_sacrifice(beneficiary, 50, world)
-        assert world.ledger.kind_counts[MessageKind.SACRIFICE_DIRECTIVE] == 1
-        assert ledger_views.do_received(world.ledger)[1] == 1
+        assert ledger_views.messages(world.ledger) == [
+            (MessageKind.COPY_REQUEST, 2, 50),
+            (MessageKind.SACRIFICE_DIRECTIVE, 50, 1),
+            (MessageKind.COPY_ACK, 50, 2),
+        ]
+        assert beneficiary.believed_free[50] == 0
+        assert world.families[1].believed_free[50] == 0
+
+    def test_capacity_zero_host_denies_a_family_below_r_min(self):
+        # The family's only candidate is a host with no slot and no resident.
+        world = make_world(host_capacity=0)
+        fam = add_family(world, 1, home=10)
+        world.discover_host(20)
+        fam.known_hosts.add(20)
+        world._process_place(1, Reason.FIRST_CONNECTION)
+        assert ledger_views.messages(world.ledger) == [
+            (MessageKind.COPY_REQUEST, 1, 20),
+            (MessageKind.COPY_DENY, 20, 1),
+        ]
+        assert (world.denials, world.placements, world.sacrifices) == (1, 0, 0)
+        assert fam.believed_free[20] == 0
+        assert not world.queue
 
     def test_donor_queued_to_replenish(self):
         world = make_world(host_capacity=1)
