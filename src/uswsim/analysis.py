@@ -13,16 +13,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .engine import Phase, World
+from .engine import World
 from .fileio import atomic_write
 from .model import HostBand, PreservationStatus, classify_condition, host_band, status_value
-
-
-@dataclass(frozen=True)
-class TreeRingLayout:
-    """Polar placement of DOs: oldest at the center, rings filling outward."""
-
-    positions: dict[int, tuple[int, int]]  # do_id -> (ring, slot)
 
 
 @dataclass(frozen=True)
@@ -37,8 +30,9 @@ def ring_capacity(ring: int) -> int:
     return 1 if ring == 0 else 8 * ring
 
 
-def tree_ring_layout(dos: list[int]) -> TreeRingLayout:
-    """Assign DOs to rings and slots in introduction order.
+def tree_ring_layout(dos: list[int]) -> dict[int, tuple[int, int]]:
+    """Polar placement of DOs, ``{do: (ring, slot)}``, in introduction order:
+    oldest at the center, rings filling outward.
 
     Ring 0 holds one DO, ring r holds 8r; slots fill clockwise from
     angle zero.
@@ -54,7 +48,7 @@ def tree_ring_layout(dos: list[int]) -> TreeRingLayout:
             cap = ring_capacity(ring)
         positions[do] = (ring, slot)
         slot += 1
-    return TreeRingLayout(positions)
+    return positions
 
 
 def fit_growth_exponent(sweep: list[tuple[int, int]]) -> ScalingFit:
@@ -125,7 +119,7 @@ def summary_dict(result: World) -> dict:
     full = sum(1 for h in hosts.values() if h.free_slots == 0)
     white = sum(1 for h in hosts.values() if h.used == 0)
     ledger = result.ledger
-    phases = ledger.phase_messages
+    growth = ledger.growth_messages
     cfg = result.config
     return {
         "config": {**asdict(cfg), "policy": cfg.policy.value},
@@ -135,8 +129,8 @@ def summary_dict(result: World) -> dict:
         "steady_state_t": result.steady_state_t,
         "final_t": result.final_t,
         "phase_boundary_t": result.phase_boundary_t,
-        "messages": {"total": ledger.total, "growth": phases[Phase.GROWTH],
-                     "maintenance": phases[Phase.MAINTENANCE]},
+        "messages": {"total": ledger.total, "growth": growth,
+                     "maintenance": ledger.total - growth},
         "final_effectiveness": round(result.final_effectiveness, 6),
         "status_fractions": {
             "none_made": round(none_made, 6),
@@ -241,12 +235,12 @@ def emit_snapshot_svg(result: World, t: int, path):
     # Left: tree-ring plot of DO statuses.
     order = sorted(copies)
     layout = tree_ring_layout(order)
-    max_ring = max((r for r, _ in layout.positions.values()), default=0)
+    max_ring = max((r for r, _ in layout.values()), default=0)
     cx, cy = half // 2, 40 + plot_h // 2
     radius_step = (plot_h // 2 - 10) / max(max_ring, 1)
     dot = max(2.0, min(8.0, radius_step / 2.2))
     for do in order:
-        ring, slot = layout.positions[do]
+        ring, slot = layout[do]
         fam = result.families[do]
         v = status_value(copies[do], fam.r_min, fam.r_max)
         if ring == 0:

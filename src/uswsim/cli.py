@@ -21,7 +21,7 @@ from .analysis import (
     fit_growth_exponent,
     summary_dict,
 )
-from .engine import Phase, run
+from .engine import run
 from .fileio import atomic_write, removed_on_failure
 from .model import PolicyKind, SimConfig
 
@@ -262,8 +262,8 @@ def _dash(value, spec="") -> str:
 
 def cmd_compare(args) -> int:
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
-    if len(names) < 2:
-        raise UsageError("compare needs at least 2 policies")
+    if len(names) < 2 or len(set(names)) < len(names):
+        raise UsageError("compare needs at least 2 policies, each named once")
     bad = [n for n in names if n not in POLICIES]
     if bad:
         raise UsageError(f"unknown policies: {', '.join(bad)}")
@@ -317,8 +317,7 @@ def _growth_totals(configs, results, out_dir, written):
     # result alive while the next one is computed.
     for cfg in configs:
         result = next(results)
-        growth.setdefault(cfg.policy, []).append(
-            (cfg.n_max, result.ledger.phase_messages[Phase.GROWTH]))
+        growth.setdefault(cfg.policy, []).append((cfg.n_max, result.ledger.growth_messages))
         if out_dir is not None:
             path = os.path.join(out_dir, run_name(cfg) + ".csv")
             emit_timeseries_csv(result, path)

@@ -5,9 +5,10 @@ The clock advances one tick per processed event.  A new DO is introduced
 every ``intro_interval`` ticks until ``n_max`` exist; all other work drains
 from a FIFO queue (ties broken by DO id at enqueue time).  Families act on
 what they believe about hosts, go dormant when they know of no openings,
-and are woken only by news; once everyone is introduced and connected and
-the queue runs dry, nobody holds an opportunity it knows about and the run
-ends.
+and are woken only by news.  Growth ends at the event that connects the
+last DO; the run ends when the queue drains after the last introduction.
+Families may still have openings at that point (``family_has_opening``):
+none of them is queued to act on one.
 
 All randomness comes from one seeded generator, drawn in a fixed order, so
 identical configurations replay identically.
@@ -15,7 +16,6 @@ identical configurations replay identically.
 
 from __future__ import annotations
 
-import enum
 from array import array
 from collections import deque
 from random import Random
@@ -25,7 +25,6 @@ import numpy as np
 from .graph import FriendshipGraph, WanderState, finalize_links, start_wander, wander_step
 from .model import (
     MessageKind,
-    Reason,
     SimConfig,
     host_band,
     status_value,
@@ -41,11 +40,6 @@ from .preservation import (
     place_copy,
     try_sacrifice,
 )
-
-
-class Phase(enum.Enum):
-    GROWTH = "growth"
-    MAINTENANCE = "maintenance"
 
 
 class MessageLedger:
@@ -68,7 +62,8 @@ class MessageLedger:
         self.times = array("i")
         self.senders = array("i")
         self.receivers = array("i")
-        # Messages sent before the run entered maintenance; None while growing.
+        # Messages sent up to the event that connected the last DO; None
+        # while DOs are still joining.
         self.growth_total: int | None = None
 
     @property
@@ -76,10 +71,9 @@ class MessageLedger:
         return len(self.kinds)
 
     @property
-    def phase_messages(self) -> dict[Phase, int]:
-        total = self.total
-        growth = total if self.growth_total is None else self.growth_total
-        return {Phase.GROWTH: growth, Phase.MAINTENANCE: total - growth}
+    def growth_messages(self) -> int:
+        """Messages of the growth phase: all of them if maintenance never began."""
+        return self.total if self.growth_total is None else self.growth_total
 
     @property
     def kind_counts(self) -> dict[MessageKind, int]:
@@ -107,7 +101,6 @@ class World:
         self.wanderers: dict[int, WanderState] = {}
         self.queue: deque = deque()
         self.t = 0
-        self.introduced = 0
         self.ledger = MessageLedger()
         self.phase_boundary_t: int | None = None
         self.terminated_by = "incomplete"
@@ -212,7 +205,7 @@ class World:
         donor_fam = self.families[donor]
         if not donor_fam.pending and donor_fam.copy_count < donor_fam.r_max:
             donor_fam.pending = True
-            self.queue.append((_PLACE, donor, Reason.REPLENISH))
+            self.queue.append((_PLACE, donor, False))
 
     def enqueue_chase(self, do_id: int):
         self.queue.append((_CHASE, do_id))
@@ -229,10 +222,9 @@ class World:
         return host
 
     def introduce_do(self) -> tuple[int, WanderState]:
-        if self.introduced >= self.config.n_max:
+        do = len(self.families) + 1
+        if do > self.config.n_max:
             raise RuntimeError("introduction past n_max")
-        do = self.introduced + 1
-        self.introduced = do
         home = self.rng.randrange(1, self.config.h_max + 1)
         self.discover_host(home)
         fam = Family(do, home, self.config.r_min, self.config.r_max, self.t)
@@ -251,7 +243,13 @@ class World:
         self.connected_order.append(fam.do_id)
         self.wanderers.pop(fam.do_id, None)
         fam.pending = True
-        self.queue.append((_PLACE, fam.do_id, Reason.FIRST_CONNECTION))
+        self.queue.append((_PLACE, fam.do_id, True))
+        if not self.wanderers and len(self.families) == self.config.n_max:
+            # The last DO has joined: growth ends with this event.  _connect
+            # is the last step of every event that calls it, so the event's
+            # messages are all in the ledger.
+            self.phase_boundary_t = self.t
+            self.ledger.growth_total = self.ledger.total
 
     # ----- event processing ----------------------------------------------
 
@@ -284,7 +282,7 @@ class World:
             self.denials += 1
         return landed
 
-    def _process_place(self, do: int, reason: Reason):
+    def _process_place(self, do: int, first: bool):
         """Survey attempt over the candidate list, best believed host first.
 
         The policy's desired count is the contact budget for this event: a
@@ -298,7 +296,6 @@ class World:
         fam = self.families[do]
         fam.pending = False
         c = fam.copy_count
-        first = reason is Reason.FIRST_CONNECTION
         desired = copies_to_attempt(self.config.policy, c, fam.r_min, fam.r_max, first)
         if desired <= 0:
             return
@@ -333,7 +330,7 @@ class World:
         for h in host_ids:
             announce_new_host(fam, h, self)
 
-    # ----- steady state ----------------------------------------------------
+    # ----- openings and bin sampling ----------------------------------------
 
     def family_has_opening(self, fam: Family) -> bool:
         """Can this family place a copy right now, directly or via sacrifice?"""
@@ -349,7 +346,7 @@ class World:
         return False
 
     def sample_bin(self):
-        n = self.introduced
+        n = len(self.families)
         if n:
             fracs = tuple(c / n for c in self.status_counts)
             rank_sum = sum(rank * c for rank, c in enumerate(self.status_counts, 1))
@@ -370,22 +367,13 @@ class World:
         self.cum_sent_series.append(self.ledger.total)
 
 
-def phase_of(world: World) -> Phase:
-    if world.introduced < world.config.n_max or world.wanderers:
-        return Phase.GROWTH
-    return Phase.MAINTENANCE
-
-
-def detect_steady_state(world: World) -> bool:
-    """The queue is empty and nobody below r_max can reach any opening."""
-    if world.queue or phase_of(world) is Phase.GROWTH:
-        return False
-    return not any(world.family_has_opening(f) for f in world.families.values())
-
-
 def run(config: SimConfig, invariant_hook=None) -> World:
-    """Execute one simulation to steady state (or the event cap) and return
-    the finished world."""
+    """Execute one simulation until its queue drains after the last
+    introduction (or the event cap) and return the finished world.
+
+    A drained run is labelled ``"steady_state"``; families may still have
+    openings then, since none of them is queued to look for one.
+    """
     world = World(config)
     cfg = config
     bin_size = cfg.bin_size
@@ -393,7 +381,8 @@ def run(config: SimConfig, invariant_hook=None) -> World:
         if world.t >= cfg.max_events:
             world.terminated_by = "max_events"
             break
-        intro_due = world.introduced < cfg.n_max and world.t % cfg.intro_interval == 0
+        joining = len(world.families) < cfg.n_max
+        intro_due = joining and world.t % cfg.intro_interval == 0
         if intro_due:
             world.t += 1
             world.introduce_do()
@@ -410,18 +399,15 @@ def run(config: SimConfig, invariant_hook=None) -> World:
             else:
                 world._process_chase(item[1])
             event = ("wander", "place", "announce", "chase")[item[0]]
-        elif world.introduced < cfg.n_max:
+        elif joining:
             world.t += 1
             event = "idle"
         else:
-            # All introduced and connected and no pending work: every family
-            # that could still act has run out of opportunities it knows
-            # about, so the system has stopped evolving.
+            # Every DO is introduced and the queue is empty, so no wanderer
+            # is left and no family is queued to act.  Families may still
+            # have openings; nothing here wakes them.
             world.terminated_by = "steady_state"
             break
-        if world.phase_boundary_t is None and phase_of(world) is Phase.MAINTENANCE:
-            world.phase_boundary_t = world.t
-            world.ledger.growth_total = world.ledger.total
         if world.t % bin_size == 0:
             world.sample_bin()
         if invariant_hook is not None:

@@ -80,13 +80,6 @@ for _code, _kind in enumerate(MessageKind):
 del _code, _kind
 
 
-class Reason(enum.Enum):
-    """Why a family is attempting to place copies."""
-
-    FIRST_CONNECTION = "first_connection"
-    REPLENISH = "replenish"
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Full parameterization of one run."""

@@ -26,7 +26,6 @@ def effectiveness_of(copy_counts, r_min=3, r_max=5):
     for do, count in enumerate(copy_counts, 1):
         fam = Family(do, world.discover_host(do).host_id, r_min, r_max, 0)
         world.families[do] = fam
-        world.introduced = do
         world.status_counts[0] += 1
         for i in range(count):
             _store_replica(fam, world.discover_host(10 * do + i + 20), world)
@@ -47,18 +46,17 @@ class TestEffectiveness:
 
 class TestTreeRingLayout:
     def test_single_do_at_center(self):
-        layout = tree_ring_layout([1])
-        assert layout.positions == {1: (0, 0)}
+        assert tree_ring_layout([1]) == {1: (0, 0)}
 
     def test_five_dos_fill_first_ring(self):
         layout = tree_ring_layout([1, 2, 3, 4, 5])
-        assert layout.positions[1] == (0, 0)
-        assert [layout.positions[d] for d in (2, 3, 4, 5)] == \
+        assert layout[1] == (0, 0)
+        assert [layout[d] for d in (2, 3, 4, 5)] == \
             [(1, 0), (1, 1), (1, 2), (1, 3)]
 
     def test_tenth_do_spills_to_ring_two(self):
         layout = tree_ring_layout(list(range(1, 11)))
-        rings = [layout.positions[d][0] for d in range(1, 11)]
+        rings = [layout[d][0] for d in range(1, 11)]
         assert rings == [0] + [1] * 8 + [2]
 
     def test_ring_capacities(self):
@@ -66,13 +64,13 @@ class TestTreeRingLayout:
 
     def test_rings_never_decrease_with_age(self):
         layout = tree_ring_layout(list(range(1, 600)))
-        rings = [layout.positions[d][0] for d in range(1, 600)]
+        rings = [layout[d][0] for d in range(1, 600)]
         assert rings == sorted(rings)
 
     def test_bijection_up_to_5000(self):
         layout = tree_ring_layout(list(range(1, 5001)))
-        assert len(layout.positions) == 5000
-        slots = set(layout.positions.values())
+        assert len(layout) == 5000
+        slots = set(layout.values())
         assert len(slots) == 5000
         for ring, slot in slots:
             assert 0 <= slot < ring_capacity(ring)

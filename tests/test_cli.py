@@ -196,6 +196,15 @@ class TestCompareCommand:
         proc = invoke(["compare", "--policies", "least", *FAST])
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("policies", ["least,least", "least,most,least"])
+    def test_repeated_policy_rejected_before_out_dir(self, tmp_path, capsys, policies):
+        out = tmp_path / "out"
+        rc = main(["compare", "--policies", policies, "--seeds", "2", *FAST,
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert "uswsim: error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_policy_rejected(self):
         proc = invoke(["compare", "--policies", "least,extreme", *FAST])
         assert proc.returncode == 1

@@ -4,13 +4,8 @@ import json
 import pytest
 
 import ledger_views
-from uswsim.engine import (
-    Phase,
-    World,
-    detect_steady_state,
-    phase_of,
-    run,
-)
+from uswsim.analysis import emit_timeseries_csv, summary_dict
+from uswsim.engine import World, run
 from uswsim.model import MessageKind, PolicyKind, SimConfig
 from uswsim.preservation import Family, PlaceOutcome, announce_new_host, place_copy
 
@@ -101,8 +96,7 @@ class TestConservation:
         do_sent = ledger_views.do_sent(ledger)
         for do, bins in ledger_views.do_sent_bins(ledger, bin_size).items():
             assert sum(bins.values()) == do_sent[do]
-        assert ledger.phase_messages[Phase.GROWTH] + \
-            ledger.phase_messages[Phase.MAINTENANCE] == ledger.total
+        assert 0 < ledger.growth_messages <= ledger.total
 
 
 class TestSteadyState:
@@ -119,16 +113,7 @@ class TestSteadyState:
                         r_min=1, r_max=2, policy=PolicyKind.MOST)
         world = run(cfg)
         assert all(f.copy_count == f.r_max for f in world.families.values())
-        assert detect_steady_state(world)
-
-    def test_pending_action_is_not_steady(self):
-        cfg = SimConfig(n_max=1, h_max=1)
-        world = World(cfg)
-        world.t += 1
-        world.introduce_do()
-        # The first-connection attempt is still queued.
-        assert world.queue
-        assert not detect_steady_state(world)
+        assert not any(world.family_has_opening(f) for f in world.families.values())
 
     def test_available_donor_blocks_steady_state(self):
         # Three isolated families; the needy one knows a full host whose
@@ -136,7 +121,6 @@ class TestSteadyState:
         from uswsim.preservation import _store_replica
         cfg = SimConfig(n_max=3, h_max=10, host_capacity=1, r_min=2, r_max=3)
         world = World(cfg)
-        world.introduced = 3
         for do, home in ((1, 1), (2, 2), (3, 3)):
             world.discover_host(home)
             fam = Family(do, home, cfg.r_min, cfg.r_max, 0)
@@ -150,18 +134,18 @@ class TestSteadyState:
             _store_replica(donor, world.discover_host(h), world)
         needy = world.families[2]
         needy.known_hosts.add(4)
-        assert not world.queue
-        assert not detect_steady_state(world)
+        assert world.family_has_opening(needy)
         # Forget the full host again: families 2 and 3 know nothing
         # beyond their own homes, family 1 is already at r_max.
         needy.known_hosts.discard(4)
-        assert detect_steady_state(world)
+        assert not any(world.family_has_opening(f) for f in world.families.values())
 
 
 class TestPhases:
     def test_growth_before_first_introduction(self):
         world = World(SimConfig(n_max=5, h_max=10))
-        assert phase_of(world) is Phase.GROWTH
+        assert world.phase_boundary_t is None
+        assert world.ledger.growth_messages == 0
 
     def test_maintenance_after_all_connected(self):
         result = run(SimConfig(n_max=40, h_max=80, seed=7))
@@ -176,7 +160,41 @@ class TestPhases:
         world.t += 1
         world.introduce_do()
         assert world.wanderers
-        assert phase_of(world) is Phase.GROWTH
+        assert world.phase_boundary_t is None
+        assert world.ledger.growth_total is None
+
+    def test_single_do_grows_for_one_event(self):
+        # The only DO joins an empty graph at once, inside its introduction.
+        result = run(SimConfig(n_max=1, h_max=10))
+        assert result.phase_boundary_t == 1
+        assert result.ledger.growth_total == 0
+
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    def test_boundary_is_first_event_with_everyone_joined(self, policy):
+        cfg = SimConfig(n_max=60, h_max=120, seed=8, policy=policy)
+        first = []
+
+        def hook(world, event):
+            if not first and len(world.families) == cfg.n_max and not world.wanderers:
+                first.append((world.t, world.ledger.total))
+
+        result = run(cfg, invariant_hook=hook)
+        assert first == [(result.phase_boundary_t, result.ledger.growth_messages)]
+        assert result.ledger.growth_total == result.ledger.growth_messages
+
+    def test_growth_only_run(self, tmp_path):
+        # Cut at max_events while DOs are still joining: maintenance never began.
+        result = run(SimConfig(n_max=50, h_max=100, max_events=200))
+        assert result.terminated_by == "max_events"
+        assert result.phase_boundary_t is None
+        messages = summary_dict(result)["messages"]
+        assert messages["growth"] == messages["total"] == result.ledger.total > 0
+        assert messages["maintenance"] == 0
+        path = tmp_path / "ts.csv"
+        emit_timeseries_csv(result, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) > 1
+        assert {row[1] for row in rows} == {"growth"}
 
 
 class TestMessageLedger:
@@ -309,7 +327,8 @@ def test_ledger_views_pinned(policy):
     result = run(SimConfig(n_max=60, h_max=120, seed=8, policy=policy))
     ledger = result.ledger
     assert {k.value: n for k, n in ledger.kind_counts.items()} == kinds
-    assert {p.value: n for p, n in ledger.phase_messages.items()} == phases
+    growth = ledger.growth_messages
+    assert {"growth": growth, "maintenance": ledger.total - growth} == phases
     dump = json.dumps(ledger_views.views(ledger, result.config.bin_size), sort_keys=True).encode()
     assert hashlib.sha256(dump).hexdigest() == views_sha256
 

@@ -2,7 +2,7 @@ import pytest
 
 import ledger_views
 from uswsim.engine import World
-from uswsim.model import MessageKind, PolicyKind, Reason, SimConfig
+from uswsim.model import MessageKind, PolicyKind, SimConfig
 from uswsim.preservation import (
     Family,
     PlaceOutcome,
@@ -224,7 +224,7 @@ class TestSacrifice:
         fam = add_family(world, 1, home=10)
         world.discover_host(20)
         fam.known_hosts.add(20)
-        world._process_place(1, Reason.FIRST_CONNECTION)
+        world._process_place(1, first=True)
         assert ledger_views.messages(world.ledger) == [
             (MessageKind.COPY_REQUEST, 1, 20),
             (MessageKind.COPY_DENY, 20, 1),
