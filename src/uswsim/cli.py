@@ -27,8 +27,9 @@ from .model import PolicyKind, SimConfig
 
 DEFAULTS = SimConfig()
 
-# The run parameters, one row each: flag dest (also the --config key), the
-# SimConfig field it sets, help text.  A value has the type of the field's
+# The run parameters, one row each: flag dest (also a --config key), the
+# SimConfig field it sets (also a --config key, so a summary's config echo
+# reads back), help text.  A value has the type of the field's
 # default; the policy is one of the PolicyKind values.
 CONFIG_TABLE = (
     ("policy", "policy", "preservation policy"),
@@ -72,7 +73,8 @@ def _add_config_flags(p: _Parser):
         p.add_argument("--" + dest.replace("_", "-"), default=None,
                        help=f"{text} (default: {default})", **kind)
     p.add_argument("--config", metavar="FILE",
-                   help="JSON file of flag values; explicit flags override it")
+                   help="JSON file of flag values, keyed by flag or SimConfig field "
+                        "name; explicit flags override it")
     p.add_argument("--out-dir", default=None,
                    help="output directory (default: $USWSIM_OUT or current directory)")
 
@@ -135,19 +137,26 @@ def config_from_args(args) -> SimConfig:
                              f"{exc}") from exc
         if not isinstance(file_vals, dict):
             raise UsageError(f"{args.config}: expected a JSON object of flag values")
-        unknown = sorted(set(file_vals) - {dest for dest, _, _ in CONFIG_TABLE})
+        known = {key for dest, field, _ in CONFIG_TABLE for key in (dest, field)}
+        unknown = sorted(set(file_vals) - known)
         if unknown:
             raise UsageError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
+        twice = [f"{dest} and {field}" for dest, field, _ in CONFIG_TABLE
+                 if dest != field and dest in file_vals and field in file_vals]
+        if twice:
+            raise UsageError(f"{args.config}: config keys name one parameter twice: "
+                             f"{', '.join(twice)}")
     values = {}
     for dest, field, _ in CONFIG_TABLE:
         kind = type(getattr(DEFAULTS, field))
         wanted, fits = _JSON_RULES[kind]
-        if dest in file_vals and not fits(file_vals[dest]):
-            raise UsageError(f"{args.config}: {dest} must be {wanted}, "
-                             f"got {json.dumps(file_vals[dest])}")
+        key = field if field in file_vals else dest
+        if key in file_vals and not fits(file_vals[key]):
+            raise UsageError(f"{args.config}: {key} must be {wanted}, "
+                             f"got {json.dumps(file_vals[key])}")
         value = getattr(args, dest)
         if value is None:
-            value = file_vals.get(dest)
+            value = file_vals.get(key)
         if value is not None:
             values[field] = kind(value)
     try:

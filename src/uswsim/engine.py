@@ -16,11 +16,8 @@ identical configurations replay identically.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from random import Random
-
-import numpy as np
 
 from .graph import FriendshipGraph, WanderState, finalize_links, start_wander, wander_step
 from .model import (
@@ -43,32 +40,26 @@ from .preservation import (
 
 
 class MessageLedger:
-    """Every message ever sent, one row per message in four append-only columns.
+    """How many messages were sent, one counter per kind.
 
-    The columns hold the kind's ``code``, the send time, the sender id and
-    the receiver id; the kind says whether each id names a DO or a host.
-    A fan-out (one sender, many receivers) or fan-in is appended in bulk,
-    one extend per column.  The simulator derives only the per-kind and
-    per-phase counts from them; both are order-free, so the order of rows
-    within one event is not part of any output.  The time, sender and
-    receiver columns are kept for tests that check when, by whom and to
-    whom each message went.
+    ``counts[kind.code]`` is the number of messages of that kind sent so
+    far; ``growth_total`` is the total at the event that connected the last
+    DO.  Every output about messages is one of these counts or a sum of
+    them.  Who sent each message, to whom and when is not kept here: a
+    ``World`` built with an ``observer`` hands each message to it instead.
     """
 
-    __slots__ = ("kinds", "times", "senders", "receivers", "growth_total")
+    __slots__ = ("counts", "growth_total")
 
     def __init__(self):
-        self.kinds = array("B")
-        self.times = array("i")
-        self.senders = array("i")
-        self.receivers = array("i")
+        self.counts = [0] * len(MessageKind)
         # Messages sent up to the event that connected the last DO; None
         # while DOs are still joining.
         self.growth_total: int | None = None
 
     @property
     def total(self) -> int:
-        return len(self.kinds)
+        return sum(self.counts)
 
     @property
     def growth_messages(self) -> int:
@@ -77,7 +68,7 @@ class MessageLedger:
 
     @property
     def kind_counts(self) -> dict[MessageKind, int]:
-        counts = np.bincount(np.array(self.kinds), minlength=len(MessageKind)).tolist()
+        counts = self.counts
         return {kind: counts[kind.code] for kind in MessageKind if counts[kind.code]}
 
 
@@ -89,10 +80,15 @@ _CHASE = 3
 
 
 class World:
-    """Mutable state of one run plus the bookkeeping the exports need."""
+    """Mutable state of one run plus the bookkeeping the exports need.
 
-    def __init__(self, config: SimConfig):
+    ``observer``, when given, is called as ``observer(kind, t, frm, to)``
+    once for every message sent, after the ledger has counted it.
+    """
+
+    def __init__(self, config: SimConfig, observer=None):
         self.config = config
+        self.observer = observer
         self.rng = Random(config.seed)
         self.graph = FriendshipGraph()
         self.families: dict[int, Family] = {}
@@ -150,37 +146,36 @@ class World:
     # ----- ledger / bookkeeping hooks used by preservation ---------------
 
     def send(self, kind: MessageKind, frm: int, to: int):
-        """Record one message; the kind says whether ``frm``/``to`` are DO or host ids.
+        """Count one message; the kind says whether ``frm``/``to`` are DO or host ids.
 
-        Fan-outs go through ``send_each``; rows of one event may land in
-        any order, since no ledger view depends on it.
+        A DO message from a DO to itself counts nothing and raises.
         """
         if frm == to and kind.from_do and kind.to_do:
             raise ValueError("message sender and recipient must differ")
-        ledger = self.ledger
-        ledger.kinds.append(kind.code)
-        ledger.times.append(self.t)
-        ledger.senders.append(frm)
-        ledger.receivers.append(to)
+        self.ledger.counts[kind.code] += 1
+        if self.observer is not None:
+            self.observer(kind, self.t, frm, to)
 
     def send_each(self, kind: MessageKind, frm: int | list[int], to: int | list[int]):
-        """Record one message per id in whichever of ``frm``/``to`` is a list.
+        """Count one message per id in whichever of ``frm``/``to`` is a list.
 
         The other side is a single id, sender of a fan-out or receiver of a
-        fan-in.  The rows are appended with one extend per column; a DO
-        message from a DO to itself records nothing and raises.
+        fan-in.  The observer, if any, sees one call per message, in list
+        order; a DO message from a DO to itself counts nothing and raises.
         """
         fan_in = isinstance(frm, list)
         one, many = (to, frm) if fan_in else (frm, to)
         if kind.from_do and kind.to_do and one in many:
             raise ValueError("message sender and recipient must differ")
-        k = len(many)
-        ones = array("i", (one,)) * k
-        ledger = self.ledger
-        ledger.kinds.frombytes(bytes((kind.code,)) * k)
-        ledger.times.extend(array("i", (self.t,)) * k)
-        ledger.senders.extend(many if fan_in else ones)
-        ledger.receivers.extend(ones if fan_in else many)
+        self.ledger.counts[kind.code] += len(many)
+        observer = self.observer
+        if observer is not None:
+            t = self.t
+            for other in many:
+                if fan_in:
+                    observer(kind, t, other, one)
+                else:
+                    observer(kind, t, one, other)
 
     def note_copy(self, fam: Family, host: Host, delta: int):
         """Book a copy of ``fam`` just stored on (+1) or removed from (-1) ``host``."""
@@ -367,14 +362,16 @@ class World:
         self.cum_sent_series.append(self.ledger.total)
 
 
-def run(config: SimConfig, invariant_hook=None) -> World:
+def run(config: SimConfig, invariant_hook=None, observer=None) -> World:
     """Execute one simulation until its queue drains after the last
     introduction (or the event cap) and return the finished world.
 
     A drained run is labelled ``"steady_state"``; families may still have
     openings then, since none of them is queued to look for one.
+    ``invariant_hook(world, event)`` is called after every event;
+    ``observer`` is handed every message, as in ``World``.
     """
-    world = World(config)
+    world = World(config, observer)
     cfg = config
     bin_size = cfg.bin_size
     while True:

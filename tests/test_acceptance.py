@@ -46,8 +46,10 @@ class Instrumentation:
     """Per-event invariant monitor plus transition guards.
 
     Cheap aggregate checks run after every event; a structural audit runs
-    every 200 events and at each run end.  Sacrifice and placement calls
-    are wrapped so the donor rules are verified on every single transition.
+    every 200 events and at each run end, where the run's recorded message
+    rows are also checked against its ledger.  Sacrifice and placement
+    calls are wrapped so the donor rules are verified on every single
+    transition.
     """
 
     AUDIT_EVERY = 200
@@ -86,10 +88,10 @@ class Instrumentation:
         self.violations += pairing_violations(world.ledger, world.graph.edge_count,
                                               world.placements, world.denials, world.sacrifices)
 
-    def audit_result(self, result):
+    def audit_result(self, result, recorder):
         self.violations += pairing_violations(result.ledger, result.graph.edge_count,
                                               result.placements, result.denials,
-                                              result.sacrifices)
+                                              result.sacrifices, recorder)
         copies = sum(f.copy_count for f in result.families.values())
         slots = sum(h.used for h in result.hosts.values())
         if copies != slots:
@@ -132,20 +134,24 @@ class Instrumentation:
 
 
 def run_instrumented(config, monitor):
+    """The finished run and the ``MessageRecorder`` that saw its messages."""
+    recorder = ledger_views.MessageRecorder()
     engine_mod.try_sacrifice = monitor.guarded_try_sacrifice
     engine_mod.place_copy = monitor.guarded_place_copy
     try:
-        result = run(config, invariant_hook=monitor.hook)
+        result = run(config, invariant_hook=monitor.hook, observer=recorder)
     finally:
         engine_mod.try_sacrifice = real_try_sacrifice
         engine_mod.place_copy = real_place_copy
-    monitor.audit_result(result)
-    return result
+    monitor.audit_result(result, recorder)
+    return result, recorder
 
 
-def pairing_violations(ledger, edges, placements, denials, sacrifices):
+def pairing_violations(ledger, edges, placements, denials, sacrifices, recorder=None):
     """Protocol pairings that hold between events: each request has its answer,
-    each link its two messages, each copy move its message."""
+    each link its two messages, each copy move its message.  Given the
+    ``recorder`` that observed the run, also check that it saw each counted
+    message once: its rows per kind and in all match the ledger's counts."""
     counts = ledger.kind_counts
     n = {kind: counts.get(kind, 0) for kind in MessageKind}
     K = MessageKind
@@ -161,16 +167,23 @@ def pairing_violations(ledger, edges, placements, denials, sacrifices):
         (n[K.COPY_DENY] == denials, f"copy_deny {n[K.COPY_DENY]} != denials {denials}"),
         (n[K.SACRIFICE_DIRECTIVE] == sacrifices,
          f"sacrifice_directive {n[K.SACRIFICE_DIRECTIVE]} != sacrifices {sacrifices}"),
-        (len(ledger.kinds) == len(ledger.times) == len(ledger.senders) == len(ledger.receivers),
-         "ledger columns differ in length"),
     )
+    if recorder is not None:
+        recorded = recorder.kind_counts()
+        off = {k.value: (recorded.get(k, 0), n[k])
+               for k in MessageKind if recorded.get(k, 0) != n[k]}
+        checks += (
+            (recorded == counts, f"recorded rows and ledger counts differ by kind {off}"),
+            (len(recorder.rows) == ledger.total,
+             f"recorded {len(recorder.rows)} rows != ledger total {ledger.total}"),
+        )
     return [f"message pairing broke: {what}" for ok, what in checks if not ok]
 
 
-def summarize(result):
+def summarize(result, recorder):
     fams = result.families
     n = len(fams)
-    sent_bins = ledger_views.do_sent_bins(result.ledger, result.config.bin_size)
+    sent_bins = ledger_views.do_sent_bins(recorder, result.config.bin_size)
     return {
         "steady_t": result.steady_state_t if result.steady_state_t is not None
         else result.final_t,
@@ -193,7 +206,7 @@ def reference_batch():
         rows = []
         for seed in SEEDS:
             cfg = SimConfig(policy=policy, seed=seed, **PAPER)
-            rows.append(summarize(run_instrumented(cfg, monitor)))
+            rows.append(summarize(*run_instrumented(cfg, monitor)))
         stats[policy] = rows
     elapsed = time.time() - t0
     return {"stats": stats, "monitor": monitor, "elapsed": elapsed}
@@ -424,16 +437,21 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
 
 
 def test_pairing_audit_flags_unbalanced_ledgers():
-    world = engine_mod.World(SimConfig(n_max=2, h_max=4))
-    assert pairing_violations(world.ledger, 0, 0, 0, 0) == []
+    recorder = ledger_views.MessageRecorder()
+    world = engine_mod.World(SimConfig(n_max=2, h_max=4), recorder)
+    assert pairing_violations(world.ledger, 0, 0, 0, 0, recorder) == []
     world.send(MessageKind.CONTACT, 1, 2)
     world.send(MessageKind.LINK_REQUEST, 1, 2)
     world.send(MessageKind.LINK_ACK, 2, 1)
     world.send(MessageKind.COPY_REQUEST, 1, 3)
     world.send(MessageKind.COPY_ACK, 3, 1)
     world.send(MessageKind.SACRIFICE_DIRECTIVE, 3, 2)
-    found = pairing_violations(world.ledger, 1, 0, 1, 0)
+    found = pairing_violations(world.ledger, 1, 0, 1, 0, recorder)
     assert [v.split(": ")[1].split()[0] for v in found] == [
         "contact", "copy_ack", "copy_deny", "sacrifice_directive"]
-    world.ledger.times.append(world.t)
-    assert pairing_violations(world.ledger, 0, 1, 0, 1)[-1].endswith("differ in length")
+    # A recorder that missed the last message disagrees in its kinds and its total.
+    recorder.rows.pop()
+    found = pairing_violations(world.ledger, 1, 0, 1, 0, recorder)
+    assert [v.split(": ")[1].split()[0] for v in found[-2:]] == ["recorded", "recorded"]
+    assert found[-2].endswith("{'sacrifice_directive': (0, 1)}")
+    assert found[-1].endswith("recorded 5 rows != ledger total 6")

@@ -133,9 +133,21 @@ class TestConfigTable:
         flag = build_parser().parse_args(["run", "--" + dest.replace("_", "-"), str(text)])
         assert getattr(config_from_args(flag), field) == value
         cfg_file = tmp_path / "c.json"
-        cfg_file.write_text(json.dumps({dest: text}))
-        from_file = build_parser().parse_args(["run", "--config", str(cfg_file)])
-        assert getattr(config_from_args(from_file), field) == value
+        for key in (dest, field):
+            cfg_file.write_text(json.dumps({key: text}))
+            from_file = build_parser().parse_args(["run", "--config", str(cfg_file)])
+            assert getattr(config_from_args(from_file), field) == value
+
+    @pytest.mark.parametrize("dest, field", [(dest, field) for dest, field, _ in CONFIG_TABLE
+                                             if dest != field])
+    def test_flag_and_field_name_together_rejected(self, tmp_path, capsys, dest, field):
+        value = _non_default(field)
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({dest: value, field: value}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_file), "--out-dir", str(out)]) == 1
+        assert f"name one parameter twice: {dest} and {field}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_summary_config_rebuilds_the_run_config(self):
         cfg = SimConfig(n_max=5, h_max=10, policy=PolicyKind.MOST, seed=3)
@@ -145,6 +157,19 @@ class TestConfigTable:
 
 
 class TestRunCommand:
+    def test_summary_config_feeds_back_as_config_file(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        proc = invoke(["run", *FAST, "--policy", "most", "--seed", "6", "--capacity", "3",
+                       "--link-prob", "0.7", "--extra-link-frac", "0.2",
+                       "--out-dir", str(first)])
+        assert proc.returncode == 0, proc.stderr
+        summary = first / "run_most_n30_seed6.json"
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps(json.loads(summary.read_text())["config"]))
+        proc = invoke(["run", "--config", str(cfg_file), "--out-dir", str(second)])
+        assert proc.returncode == 0, proc.stderr
+        assert (second / summary.name).read_bytes() == summary.read_bytes()
+
     def test_outputs_named_after_policy_n_seed(self, tmp_path):
         proc = invoke(["run", *FAST, "--policy", "moderate", "--seed", "7",
                        "--out-dir", str(tmp_path)])

@@ -89,12 +89,13 @@ class TestConservation:
                 assert host.host_id in result.families[do].copies
 
     def test_bin_sums_match_totals(self):
-        result = run(SimConfig(n_max=50, h_max=100, seed=2))
+        recorder = ledger_views.MessageRecorder()
+        result = run(SimConfig(n_max=50, h_max=100, seed=2), observer=recorder)
         ledger = result.ledger
         bin_size = result.config.bin_size
-        assert sum(ledger_views.sys_sent_bins(ledger, bin_size).values()) == ledger.total
-        do_sent = ledger_views.do_sent(ledger)
-        for do, bins in ledger_views.do_sent_bins(ledger, bin_size).items():
+        assert sum(ledger_views.sys_sent_bins(recorder, bin_size).values()) == ledger.total
+        do_sent = ledger_views.do_sent(recorder)
+        for do, bins in ledger_views.do_sent_bins(recorder, bin_size).items():
             assert sum(bins.values()) == do_sent[do]
         assert 0 < ledger.growth_messages <= ledger.total
 
@@ -199,31 +200,35 @@ class TestPhases:
 
 class TestMessageLedger:
     def test_bin_index_by_floor_division(self):
-        world = World(SimConfig(n_max=2, h_max=2, bin_size=100))
+        recorder = ledger_views.MessageRecorder()
+        world = World(SimConfig(n_max=2, h_max=2, bin_size=100), recorder)
         world.t = 250
         world.send(MessageKind.CONTACT, 1, 2)
-        views = ledger_views.views(world.ledger, world.config.bin_size)
+        assert recorder.rows == [(MessageKind.CONTACT, 250, 1, 2)]
+        views = ledger_views.views(recorder, world.config.bin_size)
         assert views["do_sent_bins"] == {1: {2: 1}}
         assert views["do_received_bins"] == {2: {2: 1}}
         assert views["sys_sent_bins"] == views["sys_received_bins"] == {2: 1}
 
     def test_each_message_counts_once_sent_once_received(self):
-        world = World(SimConfig(n_max=2, h_max=2, bin_size=100))
+        recorder = ledger_views.MessageRecorder()
+        world = World(SimConfig(n_max=2, h_max=2, bin_size=100), recorder)
         for t in range(7):
             world.t = t
             world.send(MessageKind.CONTACT, 1, 2)
         ledger = world.ledger
-        assert ledger.total == 7
-        assert ledger_views.do_sent(ledger) == {1: 7}
-        assert ledger_views.do_received(ledger) == {2: 7}
-        assert ledger.kind_counts == {MessageKind.CONTACT: 7}
+        assert ledger.total == len(recorder.rows) == 7
+        assert ledger_views.do_sent(recorder) == {1: 7}
+        assert ledger_views.do_received(recorder) == {2: 7}
+        assert ledger.kind_counts == recorder.kind_counts() == {MessageKind.CONTACT: 7}
 
     def test_host_endpoints_tracked_separately(self):
-        world = World(SimConfig(n_max=2, h_max=10))
+        recorder = ledger_views.MessageRecorder()
+        world = World(SimConfig(n_max=2, h_max=10), recorder)
         world.t = 10
         world.send(MessageKind.COPY_REQUEST, 1, 9)
         world.send(MessageKind.COPY_ACK, 9, 1)
-        views = ledger_views.views(world.ledger, world.config.bin_size)
+        views = ledger_views.views(recorder, world.config.bin_size)
         assert views["do_sent"] == {1: 1}
         assert views["host_received"] == {9: 1}
         assert views["host_sent"] == {9: 1}
@@ -231,8 +236,9 @@ class TestMessageLedger:
         assert 9 not in views["do_received"]
 
 
-def column_lengths(ledger):
-    return [len(c) for c in (ledger.kinds, ledger.times, ledger.senders, ledger.receivers)]
+def counted_and_recorded(world, recorder):
+    """The ledger's total and the recorder's row count, which must agree."""
+    return [world.ledger.total, len(recorder.rows)]
 
 
 class TestBulkSends:
@@ -244,8 +250,9 @@ class TestBulkSends:
     @pytest.mark.parametrize("fan_in", [False, True])
     def test_matches_single_sends(self, kind, one, fan_in):
         many = [7, 3, 11, 5]
-        bulk = World(SimConfig(n_max=2, h_max=2, bin_size=100))
-        single = World(SimConfig(n_max=2, h_max=2, bin_size=100))
+        bulk_rows, single_rows = ledger_views.MessageRecorder(), ledger_views.MessageRecorder()
+        bulk = World(SimConfig(n_max=2, h_max=2, bin_size=100), bulk_rows)
+        single = World(SimConfig(n_max=2, h_max=2, bin_size=100), single_rows)
         for world in (bulk, single):
             world.t = 130
             world.send(MessageKind.CONTACT, 1, 2)
@@ -257,22 +264,26 @@ class TestBulkSends:
         for other in many:
             single.send(kind, *((other, one) if fan_in else (one, other)))
         assert bulk.ledger.kind_counts == single.ledger.kind_counts
-        assert ledger_views.views(bulk.ledger, 100) == ledger_views.views(single.ledger, 100)
+        assert bulk_rows.rows == single_rows.rows
+        assert ledger_views.views(bulk_rows, 100) == ledger_views.views(single_rows, 100)
         assert bulk.ledger.total == single.ledger.total == 1 + len(many)
 
     @pytest.mark.parametrize("fan_in", [False, True])
     def test_no_receivers_appends_nothing(self, fan_in):
-        world = World(SimConfig(n_max=2, h_max=2))
+        recorder = ledger_views.MessageRecorder()
+        world = World(SimConfig(n_max=2, h_max=2), recorder)
         world.t = 5
         if fan_in:
             world.send_each(MessageKind.LINK_ACK, [], 1)
         else:
             world.send_each(MessageKind.HOST_ANNOUNCE, 1, [])
-        assert column_lengths(world.ledger) == [0, 0, 0, 0]
+        assert world.ledger.kind_counts == {}
+        assert counted_and_recorded(world, recorder) == [0, 0]
 
     def test_announce_without_friends_records_nothing(self):
         # DO 1 joins an empty graph, so it has no friend to tell.
-        world = World(SimConfig(n_max=1, h_max=5))
+        recorder = ledger_views.MessageRecorder()
+        world = World(SimConfig(n_max=1, h_max=5), recorder)
         world.t += 1
         world.introduce_do()
         fam = world.families[1]
@@ -281,24 +292,27 @@ class TestBulkSends:
         assert place_copy(fam, host, world) is PlaceOutcome.PLACED
         world.t += 1
         assert announce_new_host(fam, host, world) == 0
-        assert column_lengths(world.ledger) == [2, 2, 2, 2]
+        assert world.ledger.kind_counts == {MessageKind.COPY_REQUEST: 1, MessageKind.COPY_ACK: 1}
+        assert counted_and_recorded(world, recorder) == [2, 2]
 
     @pytest.mark.parametrize("fan_in", [False, True])
     def test_self_message_in_fan_raises_and_records_nothing(self, fan_in):
-        world = World(SimConfig(n_max=2, h_max=2))
+        recorder = ledger_views.MessageRecorder()
+        world = World(SimConfig(n_max=2, h_max=2), recorder)
         args = ([2, 1, 3], 1) if fan_in else (1, [2, 1, 3])
         with pytest.raises(ValueError):
             world.send_each(MessageKind.HOST_ANNOUNCE, *args)
-        assert column_lengths(world.ledger) == [0, 0, 0, 0]
+        assert world.ledger.kind_counts == {}
+        assert counted_and_recorded(world, recorder) == [0, 0]
         # Host ids may repeat DO ids: a DO asking the host that shares its id.
         world.send_each(MessageKind.COPY_REQUEST, 1, [2, 1, 3])
-        assert column_lengths(world.ledger) == [3, 3, 3, 3]
+        assert counted_and_recorded(world, recorder) == [3, 3]
 
 
-# Every view of the ledger for SimConfig(n_max=60, h_max=120, seed=8) under
-# each policy, as the earlier dict-per-view ledger reported them: kind counts,
+# Every message view for SimConfig(n_max=60, h_max=120, seed=8) under each
+# policy, as the earlier dict-per-view ledger reported them: kind counts,
 # phase counts, and the sha256 hex digest of
-# json.dumps(ledger_views.views(ledger, 100), sort_keys=True).encode().
+# json.dumps(ledger_views.views(recorder, 100), sort_keys=True).encode().
 PINNED_LEDGERS = {
     PolicyKind.LEAST: (
         {"contact": 108, "contact_reply": 108, "copy_ack": 266, "copy_deny": 109,
@@ -324,13 +338,28 @@ PINNED_LEDGERS = {
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_ledger_views_pinned(policy):
     kinds, phases, views_sha256 = PINNED_LEDGERS[policy]
-    result = run(SimConfig(n_max=60, h_max=120, seed=8, policy=policy))
+    recorder = ledger_views.MessageRecorder()
+    result = run(SimConfig(n_max=60, h_max=120, seed=8, policy=policy), observer=recorder)
     ledger = result.ledger
     assert {k.value: n for k, n in ledger.kind_counts.items()} == kinds
+    assert recorder.kind_counts() == ledger.kind_counts
     growth = ledger.growth_messages
     assert {"growth": growth, "maintenance": ledger.total - growth} == phases
-    dump = json.dumps(ledger_views.views(ledger, result.config.bin_size), sort_keys=True).encode()
+    dump = json.dumps(ledger_views.views(recorder, result.config.bin_size),
+                      sort_keys=True).encode()
     assert hashlib.sha256(dump).hexdigest() == views_sha256
+
+
+def test_observer_changes_no_output(tmp_path):
+    # The reference configuration, whose runs reach sacrifices and denials.
+    cfg = SimConfig(policy=PolicyKind.MOST, seed=5)
+    recorder = ledger_views.MessageRecorder()
+    plain, observed = run(cfg), run(cfg, observer=recorder)
+    assert len(recorder.rows) == observed.ledger.total > 0
+    assert summary_dict(observed) == summary_dict(plain)
+    emit_timeseries_csv(plain, tmp_path / "plain.csv")
+    emit_timeseries_csv(observed, tmp_path / "observed.csv")
+    assert (tmp_path / "observed.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 class TestEffectivenessSeries:

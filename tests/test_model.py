@@ -156,14 +156,17 @@ class TestSimConfig:
 
 class TestMessage:
     def test_self_message_rejected(self):
-        world = World(SimConfig(n_max=2, h_max=2))
+        recorder = ledger_views.MessageRecorder()
+        world = World(SimConfig(n_max=2, h_max=2), recorder)
         with pytest.raises(ValueError):
             world.send(MessageKind.CONTACT, 1, 1)
         assert world.ledger.total == 0
+        assert recorder.rows == []
 
     def test_do_and_host_endpoints_differ(self):
         # DO 1 and host 1 are different endpoints: the kind says which is which.
-        world = World(SimConfig(n_max=2, h_max=2))
+        recorder = ledger_views.MessageRecorder()
+        world = World(SimConfig(n_max=2, h_max=2), recorder)
         world.send(MessageKind.COPY_REQUEST, 1, 1)
-        assert ledger_views.do_sent(world.ledger) == {1: 1}
-        assert ledger_views.host_received(world.ledger) == {1: 1}
+        assert ledger_views.do_sent(recorder) == {1: 1}
+        assert ledger_views.host_received(recorder) == {1: 1}

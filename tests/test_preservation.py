@@ -16,9 +16,11 @@ from uswsim.preservation import (
 
 
 def make_world(**overrides):
+    """A world whose messages are also kept, as rows, by a ``MessageRecorder``
+    attached as ``world.observer``."""
     defaults = dict(n_max=20, h_max=50, r_min=3, r_max=5, host_capacity=5, seed=1)
     defaults.update(overrides)
-    return World(SimConfig(**defaults))
+    return World(SimConfig(**defaults), ledger_views.MessageRecorder())
 
 
 def add_family(world, do, home, copies=(), r_min=None, r_max=None, connect=True):
@@ -188,7 +190,7 @@ class TestSacrifice:
         beneficiary = add_family(world, 3, home=12)
         beneficiary.believed_free[50] = 2  # stale news of room
         assert try_sacrifice(beneficiary, 50, world) is None
-        assert ledger_views.messages(world.ledger) == [
+        assert ledger_views.messages(world.observer) == [
             (MessageKind.COPY_REQUEST, 3, 50),
             (MessageKind.COPY_DENY, 50, 3),
         ]
@@ -210,7 +212,7 @@ class TestSacrifice:
         add_family(world, 1, home=10, copies=(50, 61, 62, 63))
         beneficiary = add_family(world, 2, home=11)
         try_sacrifice(beneficiary, 50, world)
-        assert ledger_views.messages(world.ledger) == [
+        assert ledger_views.messages(world.observer) == [
             (MessageKind.COPY_REQUEST, 2, 50),
             (MessageKind.SACRIFICE_DIRECTIVE, 50, 1),
             (MessageKind.COPY_ACK, 50, 2),
@@ -225,7 +227,7 @@ class TestSacrifice:
         world.discover_host(20)
         fam.known_hosts.add(20)
         world._process_place(1, first=True)
-        assert ledger_views.messages(world.ledger) == [
+        assert ledger_views.messages(world.observer) == [
             (MessageKind.COPY_REQUEST, 1, 20),
             (MessageKind.COPY_DENY, 20, 1),
         ]
@@ -267,7 +269,7 @@ class TestAnnounceNewHost:
         sent = announce_new_host(fam, 40, world)
         assert sent == 4
         assert world.ledger.kind_counts[MessageKind.HOST_ANNOUNCE] == 4
-        received = ledger_views.do_received(world.ledger)
+        received = ledger_views.do_received(world.observer)
         total_received = sum(received.get(d, 0) for d in (2, 3, 4, 5))
         assert total_received == 4
 
@@ -275,6 +277,8 @@ class TestAnnounceNewHost:
         world = make_world()
         fam = add_family(world, 1, home=10, copies=(40,))
         assert announce_new_host(fam, 40, world) == 0
+        assert world.ledger.total == 0
+        assert world.observer.rows == []
 
     def test_receiver_at_r_max_records_host_but_stays_idle(self):
         world = make_world(r_min=1, r_max=1)
