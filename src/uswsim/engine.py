@@ -45,8 +45,7 @@ class MessageLedger:
     ``counts[kind.code]`` is the number of messages of that kind sent so
     far; ``growth_total`` is the total at the event that connected the last
     DO.  Every output about messages is one of these counts or a sum of
-    them.  Who sent each message, to whom and when is not kept here: a
-    ``World`` built with an ``observer`` hands each message to it instead.
+    them.  Who sent each message, to whom and when is not kept.
     """
 
     __slots__ = ("counts", "growth_total")
@@ -80,15 +79,10 @@ _CHASE = 3
 
 
 class World:
-    """Mutable state of one run plus the bookkeeping the exports need.
+    """Mutable state of one run plus the bookkeeping the exports need."""
 
-    ``observer``, when given, is called as ``observer(kind, t, frm, to)``
-    once for every message sent, after the ledger has counted it.
-    """
-
-    def __init__(self, config: SimConfig, observer=None):
+    def __init__(self, config: SimConfig):
         self.config = config
-        self.observer = observer
         self.rng = Random(config.seed)
         self.graph = FriendshipGraph()
         self.families: dict[int, Family] = {}
@@ -153,29 +147,18 @@ class World:
         if frm == to and kind.from_do and kind.to_do:
             raise ValueError("message sender and recipient must differ")
         self.ledger.counts[kind.code] += 1
-        if self.observer is not None:
-            self.observer(kind, self.t, frm, to)
 
     def send_each(self, kind: MessageKind, frm: int | list[int], to: int | list[int]):
         """Count one message per id in whichever of ``frm``/``to`` is a list.
 
         The other side is a single id, sender of a fan-out or receiver of a
-        fan-in.  The observer, if any, sees one call per message, in list
-        order; a DO message from a DO to itself counts nothing and raises.
+        fan-in.  A DO message from a DO to itself counts nothing and raises.
         """
         fan_in = isinstance(frm, list)
         one, many = (to, frm) if fan_in else (frm, to)
         if kind.from_do and kind.to_do and one in many:
             raise ValueError("message sender and recipient must differ")
         self.ledger.counts[kind.code] += len(many)
-        observer = self.observer
-        if observer is not None:
-            t = self.t
-            for other in many:
-                if fan_in:
-                    observer(kind, t, other, one)
-                else:
-                    observer(kind, t, one, other)
 
     def note_copy(self, fam: Family, host: Host, delta: int):
         """Book a copy of ``fam`` just stored on (+1) or removed from (-1) ``host``."""
@@ -362,16 +345,15 @@ class World:
         self.cum_sent_series.append(self.ledger.total)
 
 
-def run(config: SimConfig, invariant_hook=None, observer=None) -> World:
+def run(config: SimConfig, invariant_hook=None) -> World:
     """Execute one simulation until its queue drains after the last
     introduction (or the event cap) and return the finished world.
 
     A drained run is labelled ``"steady_state"``; families may still have
     openings then, since none of them is queued to look for one.
-    ``invariant_hook(world, event)`` is called after every event;
-    ``observer`` is handed every message, as in ``World``.
+    ``invariant_hook(world, event)`` is called after every event.
     """
-    world = World(config, observer)
+    world = World(config)
     cfg = config
     bin_size = cfg.bin_size
     while True:

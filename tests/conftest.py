@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import ledger_views
 import uswsim
 
 SRC = str(Path(uswsim.__file__).resolve().parent.parent)
@@ -15,3 +16,10 @@ def subprocesses_import_this_uswsim():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         yield
+
+
+@pytest.fixture
+def recorder():
+    """A ``MessageRecorder`` that keeps every message sent during the test."""
+    with ledger_views.MessageRecorder() as recording:
+        yield recording

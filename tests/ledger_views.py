@@ -2,26 +2,51 @@
 
 The simulator's ``MessageLedger`` keeps only one counter per kind.  The
 tests also check who sent each message, to whom, and in which time bin:
-they attach a ``MessageRecorder`` as the engine's ``observer`` and tally
-those views from its rows in plain Python, as an oracle that shares no
-code with the engine.  Each view is a dict keyed by id (and then by bin
-index ``t // bin_size``); the kind says whether an id names a DO or a host.
+they run the engine inside a ``MessageRecorder`` and tally those views
+from its rows in plain Python, as an oracle that shares no code with the
+engine.  Each view is a dict keyed by id (and then by bin index
+``t // bin_size``); the kind says whether an id names a DO or a host.
 """
 
 from collections import Counter
 
+from uswsim.engine import World
 from uswsim.model import MessageKind
 
 
 class MessageRecorder:
-    """Engine observer that keeps every message it is handed as one
-    ``(kind, time, sender, receiver)`` row, in the order it was sent."""
+    """Keeps every message sent by any ``World`` while it is entered, as one
+    ``(kind, time, sender, receiver)`` row, in the order it was sent.
+
+    Entering it wraps ``World.send`` and ``World.send_each`` on the class;
+    each wrapper calls the original first, so a send that raises leaves no
+    row.  Leaving it puts the originals back.
+    """
 
     def __init__(self):
         self.rows: list[tuple[MessageKind, int, int, int]] = []
 
-    def __call__(self, kind: MessageKind, t: int, frm: int, to: int):
-        self.rows.append((kind, t, frm, to))
+    def __enter__(self):
+        rows = self.rows
+        send, send_each = self._originals = World.send, World.send_each
+
+        def recorded_send(world, kind, frm, to):
+            send(world, kind, frm, to)
+            rows.append((kind, world.t, frm, to))
+
+        def recorded_send_each(world, kind, frm, to):
+            send_each(world, kind, frm, to)
+            t = world.t
+            if isinstance(frm, list):
+                rows.extend((kind, t, other, to) for other in frm)
+            else:
+                rows.extend((kind, t, frm, other) for other in to)
+
+        World.send, World.send_each = recorded_send, recorded_send_each
+        return self
+
+    def __exit__(self, *exc_info):
+        World.send, World.send_each = self._originals
 
     def kind_counts(self) -> dict[MessageKind, int]:
         """Rows per kind; a kind with no row is left out, as in the ledger's."""

@@ -88,9 +88,8 @@ class TestConservation:
             for do in host.foreign:
                 assert host.host_id in result.families[do].copies
 
-    def test_bin_sums_match_totals(self):
-        recorder = ledger_views.MessageRecorder()
-        result = run(SimConfig(n_max=50, h_max=100, seed=2), observer=recorder)
+    def test_bin_sums_match_totals(self, recorder):
+        result = run(SimConfig(n_max=50, h_max=100, seed=2))
         ledger = result.ledger
         bin_size = result.config.bin_size
         assert sum(ledger_views.sys_sent_bins(recorder, bin_size).values()) == ledger.total
@@ -199,9 +198,8 @@ class TestPhases:
 
 
 class TestMessageLedger:
-    def test_bin_index_by_floor_division(self):
-        recorder = ledger_views.MessageRecorder()
-        world = World(SimConfig(n_max=2, h_max=2, bin_size=100), recorder)
+    def test_bin_index_by_floor_division(self, recorder):
+        world = World(SimConfig(n_max=2, h_max=2, bin_size=100))
         world.t = 250
         world.send(MessageKind.CONTACT, 1, 2)
         assert recorder.rows == [(MessageKind.CONTACT, 250, 1, 2)]
@@ -210,9 +208,8 @@ class TestMessageLedger:
         assert views["do_received_bins"] == {2: {2: 1}}
         assert views["sys_sent_bins"] == views["sys_received_bins"] == {2: 1}
 
-    def test_each_message_counts_once_sent_once_received(self):
-        recorder = ledger_views.MessageRecorder()
-        world = World(SimConfig(n_max=2, h_max=2, bin_size=100), recorder)
+    def test_each_message_counts_once_sent_once_received(self, recorder):
+        world = World(SimConfig(n_max=2, h_max=2, bin_size=100))
         for t in range(7):
             world.t = t
             world.send(MessageKind.CONTACT, 1, 2)
@@ -222,9 +219,8 @@ class TestMessageLedger:
         assert ledger_views.do_received(recorder) == {2: 7}
         assert ledger.kind_counts == recorder.kind_counts() == {MessageKind.CONTACT: 7}
 
-    def test_host_endpoints_tracked_separately(self):
-        recorder = ledger_views.MessageRecorder()
-        world = World(SimConfig(n_max=2, h_max=10), recorder)
+    def test_host_endpoints_tracked_separately(self, recorder):
+        world = World(SimConfig(n_max=2, h_max=10))
         world.t = 10
         world.send(MessageKind.COPY_REQUEST, 1, 9)
         world.send(MessageKind.COPY_ACK, 9, 1)
@@ -236,11 +232,6 @@ class TestMessageLedger:
         assert 9 not in views["do_received"]
 
 
-def counted_and_recorded(world, recorder):
-    """The ledger's total and the recorder's row count, which must agree."""
-    return [world.ledger.total, len(recorder.rows)]
-
-
 class TestBulkSends:
     @pytest.mark.parametrize("kind,one", [
         (MessageKind.HOST_ANNOUNCE, 4),   # DO to DOs
@@ -250,40 +241,41 @@ class TestBulkSends:
     @pytest.mark.parametrize("fan_in", [False, True])
     def test_matches_single_sends(self, kind, one, fan_in):
         many = [7, 3, 11, 5]
-        bulk_rows, single_rows = ledger_views.MessageRecorder(), ledger_views.MessageRecorder()
-        bulk = World(SimConfig(n_max=2, h_max=2, bin_size=100), bulk_rows)
-        single = World(SimConfig(n_max=2, h_max=2, bin_size=100), single_rows)
-        for world in (bulk, single):
-            world.t = 130
-            world.send(MessageKind.CONTACT, 1, 2)
-            world.t = 250
-        if fan_in:
-            bulk.send_each(kind, many, one)
-        else:
-            bulk.send_each(kind, one, many)
-        for other in many:
-            single.send(kind, *((other, one) if fan_in else (one, other)))
+        bulk = World(SimConfig(n_max=2, h_max=2, bin_size=100))
+        single = World(SimConfig(n_max=2, h_max=2, bin_size=100))
+        with ledger_views.MessageRecorder() as bulk_rows:
+            bulk.t = 130
+            bulk.send(MessageKind.CONTACT, 1, 2)
+            bulk.t = 250
+            if fan_in:
+                bulk.send_each(kind, many, one)
+            else:
+                bulk.send_each(kind, one, many)
+        with ledger_views.MessageRecorder() as single_rows:
+            single.t = 130
+            single.send(MessageKind.CONTACT, 1, 2)
+            single.t = 250
+            for other in many:
+                single.send(kind, *((other, one) if fan_in else (one, other)))
         assert bulk.ledger.kind_counts == single.ledger.kind_counts
         assert bulk_rows.rows == single_rows.rows
         assert ledger_views.views(bulk_rows, 100) == ledger_views.views(single_rows, 100)
         assert bulk.ledger.total == single.ledger.total == 1 + len(many)
 
     @pytest.mark.parametrize("fan_in", [False, True])
-    def test_no_receivers_appends_nothing(self, fan_in):
-        recorder = ledger_views.MessageRecorder()
-        world = World(SimConfig(n_max=2, h_max=2), recorder)
+    def test_no_receivers_appends_nothing(self, fan_in, recorder):
+        world = World(SimConfig(n_max=2, h_max=2))
         world.t = 5
         if fan_in:
             world.send_each(MessageKind.LINK_ACK, [], 1)
         else:
             world.send_each(MessageKind.HOST_ANNOUNCE, 1, [])
         assert world.ledger.kind_counts == {}
-        assert counted_and_recorded(world, recorder) == [0, 0]
+        assert world.ledger.total == len(recorder.rows) == 0
 
-    def test_announce_without_friends_records_nothing(self):
+    def test_announce_without_friends_records_nothing(self, recorder):
         # DO 1 joins an empty graph, so it has no friend to tell.
-        recorder = ledger_views.MessageRecorder()
-        world = World(SimConfig(n_max=1, h_max=5), recorder)
+        world = World(SimConfig(n_max=1, h_max=5))
         world.t += 1
         world.introduce_do()
         fam = world.families[1]
@@ -293,20 +285,19 @@ class TestBulkSends:
         world.t += 1
         assert announce_new_host(fam, host, world) == 0
         assert world.ledger.kind_counts == {MessageKind.COPY_REQUEST: 1, MessageKind.COPY_ACK: 1}
-        assert counted_and_recorded(world, recorder) == [2, 2]
+        assert world.ledger.total == len(recorder.rows) == 2
 
     @pytest.mark.parametrize("fan_in", [False, True])
-    def test_self_message_in_fan_raises_and_records_nothing(self, fan_in):
-        recorder = ledger_views.MessageRecorder()
-        world = World(SimConfig(n_max=2, h_max=2), recorder)
+    def test_self_message_in_fan_raises_and_records_nothing(self, fan_in, recorder):
+        world = World(SimConfig(n_max=2, h_max=2))
         args = ([2, 1, 3], 1) if fan_in else (1, [2, 1, 3])
         with pytest.raises(ValueError):
             world.send_each(MessageKind.HOST_ANNOUNCE, *args)
         assert world.ledger.kind_counts == {}
-        assert counted_and_recorded(world, recorder) == [0, 0]
+        assert world.ledger.total == len(recorder.rows) == 0
         # Host ids may repeat DO ids: a DO asking the host that shares its id.
         world.send_each(MessageKind.COPY_REQUEST, 1, [2, 1, 3])
-        assert counted_and_recorded(world, recorder) == [3, 3]
+        assert world.ledger.total == len(recorder.rows) == 3
 
 
 # Every message view for SimConfig(n_max=60, h_max=120, seed=8) under each
@@ -336,10 +327,9 @@ PINNED_LEDGERS = {
 
 
 @pytest.mark.parametrize("policy", list(PolicyKind))
-def test_ledger_views_pinned(policy):
+def test_ledger_views_pinned(policy, recorder):
     kinds, phases, views_sha256 = PINNED_LEDGERS[policy]
-    recorder = ledger_views.MessageRecorder()
-    result = run(SimConfig(n_max=60, h_max=120, seed=8, policy=policy), observer=recorder)
+    result = run(SimConfig(n_max=60, h_max=120, seed=8, policy=policy))
     ledger = result.ledger
     assert {k.value: n for k, n in ledger.kind_counts.items()} == kinds
     assert recorder.kind_counts() == ledger.kind_counts
@@ -350,11 +340,12 @@ def test_ledger_views_pinned(policy):
     assert hashlib.sha256(dump).hexdigest() == views_sha256
 
 
-def test_observer_changes_no_output(tmp_path):
+def test_recorder_changes_no_output(tmp_path):
     # The reference configuration, whose runs reach sacrifices and denials.
     cfg = SimConfig(policy=PolicyKind.MOST, seed=5)
-    recorder = ledger_views.MessageRecorder()
-    plain, observed = run(cfg), run(cfg, observer=recorder)
+    plain = run(cfg)
+    with ledger_views.MessageRecorder() as recorder:
+        observed = run(cfg)
     assert len(recorder.rows) == observed.ledger.total > 0
     assert summary_dict(observed) == summary_dict(plain)
     emit_timeseries_csv(plain, tmp_path / "plain.csv")

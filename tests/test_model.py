@@ -155,18 +155,16 @@ class TestSimConfig:
 
 
 class TestMessage:
-    def test_self_message_rejected(self):
-        recorder = ledger_views.MessageRecorder()
-        world = World(SimConfig(n_max=2, h_max=2), recorder)
+    def test_self_message_rejected(self, recorder):
+        world = World(SimConfig(n_max=2, h_max=2))
         with pytest.raises(ValueError):
             world.send(MessageKind.CONTACT, 1, 1)
         assert world.ledger.total == 0
         assert recorder.rows == []
 
-    def test_do_and_host_endpoints_differ(self):
+    def test_do_and_host_endpoints_differ(self, recorder):
         # DO 1 and host 1 are different endpoints: the kind says which is which.
-        recorder = ledger_views.MessageRecorder()
-        world = World(SimConfig(n_max=2, h_max=2), recorder)
+        world = World(SimConfig(n_max=2, h_max=2))
         world.send(MessageKind.COPY_REQUEST, 1, 1)
         assert ledger_views.do_sent(recorder) == {1: 1}
         assert ledger_views.host_received(recorder) == {1: 1}

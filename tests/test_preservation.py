@@ -16,11 +16,9 @@ from uswsim.preservation import (
 
 
 def make_world(**overrides):
-    """A world whose messages are also kept, as rows, by a ``MessageRecorder``
-    attached as ``world.observer``."""
     defaults = dict(n_max=20, h_max=50, r_min=3, r_max=5, host_capacity=5, seed=1)
     defaults.update(overrides)
-    return World(SimConfig(**defaults), ledger_views.MessageRecorder())
+    return World(SimConfig(**defaults))
 
 
 def add_family(world, do, home, copies=(), r_min=None, r_max=None, connect=True):
@@ -182,7 +180,7 @@ class TestSacrifice:
         beneficiary = add_family(world, 9, home=12)
         assert try_sacrifice(beneficiary, 50, world) == 2
 
-    def test_nobody_above_r_min_means_none(self):
+    def test_nobody_above_r_min_means_none(self, recorder):
         # The host denies, and the beneficiary learns it is full.
         world = make_world(host_capacity=2)
         add_family(world, 1, home=10, copies=(50, 61, 62))
@@ -190,7 +188,7 @@ class TestSacrifice:
         beneficiary = add_family(world, 3, home=12)
         beneficiary.believed_free[50] = 2  # stale news of room
         assert try_sacrifice(beneficiary, 50, world) is None
-        assert ledger_views.messages(world.observer) == [
+        assert ledger_views.messages(recorder) == [
             (MessageKind.COPY_REQUEST, 3, 50),
             (MessageKind.COPY_DENY, 50, 3),
         ]
@@ -206,13 +204,13 @@ class TestSacrifice:
         assert eligible_donor(world.hosts[50], world) is None
         assert try_sacrifice(beneficiary, 50, world) is None
 
-    def test_directive_charged_to_donor(self):
+    def test_directive_charged_to_donor(self, recorder):
         # The beneficiary asks, the host directs the donor and acknowledges.
         world = make_world(host_capacity=1)
         add_family(world, 1, home=10, copies=(50, 61, 62, 63))
         beneficiary = add_family(world, 2, home=11)
         try_sacrifice(beneficiary, 50, world)
-        assert ledger_views.messages(world.observer) == [
+        assert ledger_views.messages(recorder) == [
             (MessageKind.COPY_REQUEST, 2, 50),
             (MessageKind.SACRIFICE_DIRECTIVE, 50, 1),
             (MessageKind.COPY_ACK, 50, 2),
@@ -220,14 +218,14 @@ class TestSacrifice:
         assert beneficiary.believed_free[50] == 0
         assert world.families[1].believed_free[50] == 0
 
-    def test_capacity_zero_host_denies_a_family_below_r_min(self):
+    def test_capacity_zero_host_denies_a_family_below_r_min(self, recorder):
         # The family's only candidate is a host with no slot and no resident.
         world = make_world(host_capacity=0)
         fam = add_family(world, 1, home=10)
         world.discover_host(20)
         fam.known_hosts.add(20)
         world._process_place(1, first=True)
-        assert ledger_views.messages(world.observer) == [
+        assert ledger_views.messages(recorder) == [
             (MessageKind.COPY_REQUEST, 1, 20),
             (MessageKind.COPY_DENY, 20, 1),
         ]
@@ -259,7 +257,7 @@ class TestSacrifice:
 
 
 class TestAnnounceNewHost:
-    def test_one_message_per_friend(self):
+    def test_one_message_per_friend(self, recorder):
         world = make_world()
         fam = add_family(world, 1, home=10, copies=(40,))
         fam.believed_free[40] = 4
@@ -269,16 +267,16 @@ class TestAnnounceNewHost:
         sent = announce_new_host(fam, 40, world)
         assert sent == 4
         assert world.ledger.kind_counts[MessageKind.HOST_ANNOUNCE] == 4
-        received = ledger_views.do_received(world.observer)
+        received = ledger_views.do_received(recorder)
         total_received = sum(received.get(d, 0) for d in (2, 3, 4, 5))
         assert total_received == 4
 
-    def test_no_friends_no_messages(self):
+    def test_no_friends_no_messages(self, recorder):
         world = make_world()
         fam = add_family(world, 1, home=10, copies=(40,))
         assert announce_new_host(fam, 40, world) == 0
         assert world.ledger.total == 0
-        assert world.observer.rows == []
+        assert recorder.rows == []
 
     def test_receiver_at_r_max_records_host_but_stays_idle(self):
         world = make_world(r_min=1, r_max=1)
