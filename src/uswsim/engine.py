@@ -263,13 +263,16 @@ class World:
     def _process_place(self, do: int, first: bool):
         """Survey attempt over the candidate list, best believed host first.
 
-        The policy's desired count is the contact budget for this event: a
-        Least family asks one host and lives with the answer, an aggressive
-        first connection keeps asking through denials until its goal or its
-        budget runs out.  Hosts the family already believes full are not
-        worth a message unless it is still short of r_min and hoping for a
-        sacrifice, so a settled family with no believed openings stays
-        quiet.
+        Candidates rank as ``candidate_hosts`` ranks them: hosts the family
+        has never heard about first, by id, then the ones it has heard
+        about by believed free slots, then by id.  The policy's desired
+        count is the contact budget for this event, passed as the ranking's
+        ``limit``: a Least family asks one host and lives with the answer,
+        an aggressive first connection keeps asking through denials until
+        its goal or its budget runs out.  Hosts the family already believes
+        full are not worth a message unless it is still short of r_min and
+        hoping for a sacrifice, so a settled family with no believed
+        openings stays quiet.
         """
         fam = self.families[do]
         fam.pending = False
@@ -281,7 +284,7 @@ class World:
         new_hosts: list[int] = []
         # Each contact lands at most one copy and desired <= r_max - c, so
         # the budget alone keeps the family within r_max.
-        for host_id in candidate_hosts(fam, self)[:desired]:
+        for host_id in candidate_hosts(fam, self, desired):
             if fam.believed_free.get(host_id, cap) <= 0 and fam.copy_count >= fam.r_min:
                 break  # only hosts it believes full remain
             fresh = host_id not in fam.known_hosts

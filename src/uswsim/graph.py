@@ -67,22 +67,20 @@ class FriendshipGraph:
         return sorted(self.adj)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in sorted(self.adj):
-            for v in self.adj[u]:
-                if u < v:
-                    out.append((u, v))
-        out.sort()
-        return out
+        adj = self.adj
+        return [(u, v) for u in sorted(adj) for v in sorted(adj[u]) if u < v]
 
     def __len__(self):
         return len(self.adj)
 
     def write_edge_list(self, path):
         """One ascending "u v" pair per line, suitable for external tools."""
+        adj = self.adj
+        lines = []
+        for u in sorted(adj):
+            lines += [f"{u} {v}\n" for v in sorted(adj[u]) if u < v]
         with atomic_write(path) as fh:
-            for u, v in self.edges():
-                fh.write(f"{u} {v}\n")
+            fh.write("".join(lines))
 
 
 class WanderState:

@@ -14,6 +14,7 @@ Three transcribed flocking rules govern everything here:
 from __future__ import annotations
 
 import enum
+import heapq
 
 from .model import MessageKind, PolicyKind
 
@@ -90,24 +91,39 @@ def copies_to_attempt(policy: PolicyKind, current_c: int, r_min: int, r_max: int
     return least
 
 
-def candidate_hosts(family: Family, world) -> list[int]:
+def candidate_hosts(family: Family, world, limit: int | None = None) -> list[int]:
     """Hosts this family could petition, best believed prospects first.
 
     Drawn from what it has been told about plus where its friends live,
-    excluding anywhere it already has a replica, ordered by the free slots
-    the family believes each host has (ties by host id).  Hosts believed
-    full stay at the tail: they may still accept via a sacrifice.
+    excluding anywhere it already has a replica.  Hosts the family has
+    never heard about are believed wide open and come first, by id; the
+    hosts it has heard about follow, by the free slots it believes each
+    has, then by id.  Hosts believed full stay at the tail: they may still
+    accept via a sacrifice.  ``limit`` is the contact budget: only that
+    many of the best are returned (all of them when None).
+
+    Every believed count is one a host reported (or an announcer saw) after
+    a request, so it is below ``host_capacity`` whenever that is at least
+    1: sorting the heard hosts alone gives the same order as ranking every
+    host by its believed count.  With no slots anywhere, all hosts rank
+    alike and the order is by id.
     """
     pool = set(family.known_hosts)
     for friend in world.graph.neighbors(family.do_id):
         pool.add(world.families[friend].home_host)
     pool.discard(family.home_host)
     pool -= family.copies
-    cap = world.config.host_capacity
+    if world.config.host_capacity < 1:
+        return sorted(pool)[:limit]
     believed = family.believed_free
-    ranked = [(-believed.get(h, cap), h) for h in pool]
-    ranked.sort()
-    return [h for _, h in ranked]
+    unheard = pool.difference(believed)
+    if limit is not None and len(unheard) >= limit:
+        return heapq.nsmallest(limit, unheard)
+    heard = sorted(pool.intersection(believed))
+    heard.sort(key=believed.__getitem__, reverse=True)
+    ranked = sorted(unheard)
+    ranked += heard
+    return ranked[:limit]
 
 
 def place_copy(family: Family, host_id: int, world) -> PlaceOutcome:

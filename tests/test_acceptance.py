@@ -68,10 +68,18 @@ class Instrumentation:
             self.audit(world)
 
     def audit(self, world):
+        # Every believed free-slot count is one a host reported after a
+        # request, so it stays below the capacity (0 when that is 0).
+        # candidate_hosts ranks by that premise.
+        believed_top = max(world.config.host_capacity, 1)
         copies_sum = 0
         for do, fam in world.families.items():
             if fam.copy_count > fam.r_max:
                 self.violations.append(f"family {do} above r_max")
+            if fam.believed_free and max(fam.believed_free.values()) >= believed_top:
+                self.violations.append(
+                    f"family {do} believes a host has {max(fam.believed_free.values())} "
+                    f"free slots of {world.config.host_capacity}")
             if fam.home_host in fam.copies:
                 self.violations.append(f"family {do} copied onto its own host")
             copies_sum += fam.copy_count
@@ -449,3 +457,16 @@ def test_pairing_audit_flags_unbalanced_ledgers(recorder):
     assert pairing_violations(world.ledger, 1, 0, 1, 0, recorder)[4:] == [
         "message pairing broke: recorded rows and ledger counts differ by kind "
         "{'sacrifice_directive': (0, 1)}"]
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 5])
+def test_audit_flags_believed_count_at_capacity(capacity):
+    world = run(SimConfig(n_max=30, h_max=60, seed=3, host_capacity=capacity))
+    monitor = Instrumentation()
+    monitor.audit(world)
+    assert monitor.violations == []
+    fam = world.families[7]
+    fam.believed_free[fam.home_host] = max(capacity, 1)
+    monitor.audit(world)
+    assert monitor.violations == [
+        f"family 7 believes a host has {max(capacity, 1)} free slots of {capacity}"]

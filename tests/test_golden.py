@@ -45,6 +45,29 @@ PINNED = {
         "run_most_n60_seed17_t300.svg":
             "74b8d9e443501925b58963d80b6e45a75de8aefc56c862deb21f80752f75db1d",
     },
+    # Two slots per host: hosts fill, so placement ranks hosts the family
+    # has heard about, and sacrifices (37 and 44) and denials (377 and 335)
+    # both happen.
+    ("most", "--snapshots", "300", "--capacity", "2"): {
+        "run_most_n60_seed17.csv":
+            "a030943c4a847a0b2c27421b3c3b7141f111a030d7c2564bd9eca5ed8affb69c",
+        "run_most_n60_seed17.edges":
+            "fc8bb6aa2206ab15dbd40fed31b52777fce8114bc3f4cce7cb9a3cd27617dce5",
+        "run_most_n60_seed17.json":
+            "eab9e15be8c17db2c6ef84113d5b9a355dd2f8ad7bc2ad6ee7ecb9900a3c1408",
+        "run_most_n60_seed17_t300.svg":
+            "3d1a9b598cc475636f51b50951a45b5f277a43c59dbbe6950abf04908980d00f",
+    },
+    ("moderate", "--snapshots", "300", "--capacity", "2"): {
+        "run_moderate_n60_seed17.csv":
+            "6cb75789ae0a596b9a43809abcfd8b98fb36a244062cabf24ed465bad3ee21d5",
+        "run_moderate_n60_seed17.edges":
+            "ff52deb516d06c5928bc5c7908c22307b0ff88aa8c5e4581ae556888999eee57",
+        "run_moderate_n60_seed17.json":
+            "26ebb1a1e13db4b00e1b6c86c99c12065d3b336fb90b076a799c35d3535e2c62",
+        "run_moderate_n60_seed17_t300.svg":
+            "47d72b7dc993d29554ec3e89be56a1924bd755aa96a34286edb2f55f490f377c",
+    },
     # Cut at max_events while DOs are still joining: growth only.
     ("least", "--snapshots", "100", "--max-events", "200"): {
         "run_least_n60_seed17.csv":

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 import ledger_views
-from uswsim.engine import World
+from uswsim.engine import World, run
 from uswsim.model import MessageKind, PolicyKind, SimConfig
 from uswsim.preservation import (
     Family,
@@ -105,6 +106,70 @@ class TestCandidateHosts:
         world.discover_host(21)
         world.discover_host(22)
         assert candidate_hosts(fam, world) == [22, 21]
+
+
+def ranked_by_sorting(family, world):
+    """The ranking as a plain sort: one (-believed, id) key per candidate,
+    with hosts never heard about believed to have ``host_capacity`` slots."""
+    pool = {world.families[f].home_host for f in world.graph.neighbors(family.do_id)}
+    pool |= family.known_hosts
+    pool.discard(family.home_host)
+    pool -= family.copies
+    cap = world.config.host_capacity
+    return [h for _, h in sorted((-family.believed_free.get(h, cap), h) for h in pool)]
+
+
+def ranking_mismatches(world):
+    """(do, limit) for each family and contact budget whose ranking differs
+    from the plain sort's first ``limit`` hosts."""
+    bad = []
+    for do, fam in world.families.items():
+        expected = ranked_by_sorting(fam, world)
+        for limit in (None, *range(1, world.config.r_max + 1)):
+            if candidate_hosts(fam, world, limit) != expected[:limit]:
+                bad.append((do, limit))
+    return bad
+
+
+class TestRankingMatchesPlainSort:
+    """candidate_hosts puts never-heard hosts first without looking at a
+    believed count; that equals the plain sort because every count a family
+    hears is below the host capacity (all 0 at capacity 0)."""
+
+    @pytest.mark.parametrize("config", [
+        *(SimConfig(policy=p) for p in PolicyKind),
+        SimConfig(policy=PolicyKind.MOST, host_capacity=0),
+    ], ids=["least", "moderate", "most", "most-capacity-0"])
+    def test_run_states(self, config):
+        checked = []
+        mismatches = []
+
+        def hook(world, event):
+            if world.t % 200 == 0:
+                checked.append(world.t)
+                mismatches.extend((world.t, *m) for m in ranking_mismatches(world))
+
+        world = run(config, invariant_hook=hook)
+        mismatches.extend((world.t, *m) for m in ranking_mismatches(world))
+        assert len(checked) >= 35
+        assert mismatches == []
+
+    @given(data=st.data(), capacity=st.integers(0, 6), home=st.integers(1, 30),
+           known=st.sets(st.integers(1, 30), max_size=20),
+           friend_homes=st.lists(st.integers(1, 30), max_size=8),
+           limit=st.one_of(st.none(), st.integers(1, 8)))
+    def test_hand_built_families(self, data, capacity, home, known, friend_homes, limit):
+        world = make_world(host_capacity=capacity)
+        fam = add_family(world, 1, home=home)
+        fam.known_hosts |= known
+        for do, friend_home in enumerate(friend_homes, 2):
+            add_family(world, do, home=friend_home)
+            world.graph.add_edge(1, do)
+        hosts = sorted(known | set(friend_homes) | {home})
+        fam.copies = data.draw(st.sets(st.sampled_from(hosts), max_size=5))
+        fam.believed_free = data.draw(st.dictionaries(
+            st.sampled_from(hosts), st.integers(0, max(capacity - 1, 0))))
+        assert candidate_hosts(fam, world, limit) == ranked_by_sorting(fam, world)[:limit]
 
 
 class TestPlaceCopy:
