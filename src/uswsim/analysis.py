@@ -11,8 +11,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .engine import World
 from .fileio import atomic_write
 from .model import HostBand, PreservationStatus, classify_condition, host_band, status_value
@@ -58,6 +56,8 @@ def fit_growth_exponent(sweep: list[tuple[int, int]]) -> ScalingFit:
     against the geometric midpoint of each size interval; that slope is
     None when fewer than two positive differences exist.
     """
+    import numpy as np
+
     if len(sweep) < 3:
         raise ValueError("fit needs at least 3 sizes")
     sizes = [n for n, _ in sweep]

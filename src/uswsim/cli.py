@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from statistics import median
 
@@ -235,6 +234,8 @@ def compare_policies(policies, base_config: SimConfig, seeds, jobs=1):
     configs = [(pol, replace(base_config, policy=pol, seed=s))
                for pol in policies for s in seeds]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             summaries = list(pool.map(_run_worker, [c for _, c in configs]))
     else:
@@ -310,6 +311,8 @@ def sweep_sizes(sizes, base_config: SimConfig, out_dir=None, jobs=1):
     configs = sweep_configs(sizes, base_config)
     with removed_on_failure() as written:
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 growth = _growth_totals(configs, pool.map(run, configs), out_dir, written)
         else:

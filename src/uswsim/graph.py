@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from random import Random
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .fileio import atomic_write
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Sources per bit-parallel BFS sweep in avg_path_length: 8 uint64 words per
 # node, so the neighbour gather holds 2 * edges * 64 bytes at most.
@@ -203,6 +205,8 @@ def clustering_coefficient(graph: FriendshipGraph) -> float:
     row of uint64 words, and an edge u-v closes popcount(row_u & row_v)
     triangles.
     """
+    import numpy as np
+
     nodes = list(graph.adj)
     n = len(nodes)
     if n == 0:
@@ -247,6 +251,8 @@ def avg_path_length(graph: FriendshipGraph) -> tuple[float, bool]:
     over the largest component (on a tie, the one holding the smallest
     node id) and the returned flag is True.
     """
+    import numpy as np
+
     n = len(graph)
     if n == 0:
         raise ValueError("path length of an empty graph")
@@ -290,6 +296,8 @@ def _csr(graph: FriendshipGraph, nodes: list[int]) -> tuple[np.ndarray, np.ndarr
     is row i, and its neighbours' rows fill ``degrees[i]`` consecutive
     entries of the flat index array, rows in order.  Every neighbour must
     itself be in ``nodes``."""
+    import numpy as np
+
     index = {u: i for i, u in enumerate(nodes)}
     degrees = np.fromiter((len(graph.adj[u]) for u in nodes), dtype=np.int64,
                           count=len(nodes))
@@ -332,6 +340,8 @@ def uniform_random_graph(n: int, m: int, rng: Random) -> FriendshipGraph:
     next w such words, first word least significant.  That word order is
     CPython's; the per-pair oracle in the tests guards it.
     """
+    import numpy as np
+
     limit = n * (n - 1) // 2
     if m > limit:
         raise ValueError(f"{m} edges exceed the {limit} possible on {n} nodes")

@@ -3,15 +3,18 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import uswsim
 from uswsim.analysis import summary_dict
 from uswsim.cli import CONFIG_TABLE, build_parser, config_from_args, main
 from uswsim.engine import run
 from uswsim.model import PolicyKind, SimConfig
 
 FAST = ["--n-max", "30", "--h-max", "60", "--max-events", "20000"]
+SRC = str(Path(uswsim.__file__).resolve().parent.parent)
 
 
 def invoke(argv, cwd=None, env_extra=None):
@@ -344,3 +347,59 @@ class TestParallelJobs:
         a = (tmp_path / "s" / "compare_n30_seeds2.json").read_text()
         b = (tmp_path / "p" / "compare_n30_seeds2.json").read_text()
         assert a == b
+
+    def test_sweep_with_workers_matches_serial(self, tmp_path):
+        outputs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            proc = invoke(["sweep", "--sizes", "5,10,20", "--h-max", "60", "--jobs", jobs,
+                           "--out-dir", str(out)])
+            assert proc.returncode == 0
+            outputs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(outputs["1"]) == 10 and "sweep_5-10-20.json" in outputs["1"]
+        assert outputs["2"] == outputs["1"]
+
+
+# The calls that need numpy, on small inputs.  They run in the pytest
+# process and in the child below, and must give the same values.
+NUMPY_CALLS = """
+from random import Random
+from uswsim.analysis import fit_growth_exponent
+from uswsim.graph import avg_path_length, clustering_coefficient, grow_graph, uniform_random_graph
+grown = grow_graph(150, seed=4)
+baseline = uniform_random_graph(150, grown.edge_count, Random(11))
+fit = fit_growth_exponent([(10, 50), (20, 130), (40, 300), (80, 700)])
+values = [clustering_coefficient(grown), avg_path_length(grown), baseline.edges(),
+          clustering_coefficient(baseline), fit.slope, fit.marginal_slope]
+"""
+
+# Runs run, compare --jobs 1 and analyze in a fresh interpreter, notes which
+# heavy modules they loaded, then makes the numpy calls.  The last stdout
+# line is the JSON result.
+COLD_START = """
+import json, sys
+src, out, fast, heavy = sys.argv[1], sys.argv[2], json.loads(sys.argv[3]), sys.argv[4:]
+sys.path.insert(0, src)
+from uswsim.cli import main
+assert main(["run", *fast, "--seed", "3", "--snapshots", "0,100", "--edge-list",
+             "--out-dir", out]) == 0
+assert main(["compare", "--policies", "least,most", "--seeds", "1", "--jobs", "1", *fast,
+             "--out-dir", out]) == 0
+assert main(["analyze", out + "/run_least_n30_seed3.json"]) == 0
+loaded = [name for name in heavy if name in sys.modules]
+""" + NUMPY_CALLS + """
+print(json.dumps({"loaded": loaded, "numpy_after": "numpy" in sys.modules, "values": values}))
+"""
+
+
+def test_run_compare_analyze_start_without_numpy_or_multiprocessing(tmp_path):
+    heavy = ["numpy", "multiprocessing", "concurrent.futures.process"]
+    proc = subprocess.run([sys.executable, "-c", COLD_START, SRC, str(tmp_path),
+                           json.dumps(FAST), *heavy], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout.splitlines()[-1])
+    assert child["loaded"] == []
+    assert child["numpy_after"]
+    here = {}
+    exec(NUMPY_CALLS, here)
+    assert child["values"] == json.loads(json.dumps(here["values"]))
