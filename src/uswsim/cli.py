@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from statistics import median
 
 from .analysis import (
@@ -46,6 +47,7 @@ CONFIG_TABLE = (
     ("max_events", "max_events", "hard stop on event count"),
 )
 POLICIES = [kind.value for kind in PolicyKind]
+JOBS_HELP = "worker processes (default: every usable core, at most one per run)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,15 +99,13 @@ def build_parser() -> _Parser:
                        help="comma-separated policies to compare (default: all three)")
     p_cmp.add_argument("--seeds", type=positive_int, default=20,
                        help="number of seeds, used as 1..N (default: 20)")
-    p_cmp.add_argument("--jobs", type=positive_int, default=1,
-                       help="parallel worker processes (default: 1)")
+    p_cmp.add_argument("--jobs", type=positive_int, default=None, help=JOBS_HELP)
 
     p_swp = sub.add_parser("sweep", help="feast-condition scaling sweep over system sizes")
     _add_config_flags(p_swp)
     p_swp.add_argument("--sizes", default="10,50,100,250,500",
                        help="comma-separated ascending DO counts (default: 10,50,100,250,500)")
-    p_swp.add_argument("--jobs", type=positive_int, default=1,
-                       help="parallel worker processes (default: 1)")
+    p_swp.add_argument("--jobs", type=positive_int, default=None, help=JOBS_HELP)
 
     p_ana = sub.add_parser("analyze", help="summarize stored summary JSON files")
     p_ana.add_argument("inputs", nargs="+", help="summary JSON paths")
@@ -182,6 +182,34 @@ def _run_worker(config: SimConfig) -> dict:
     return summary_dict(run(config))
 
 
+def _worker_count(jobs, members: int) -> int:
+    """Worker processes for ``members`` runs: ``jobs``, or every core this
+    process may run on when it is None, and never more than ``members``."""
+    if jobs is None:
+        try:
+            jobs = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            jobs = os.cpu_count() or 1
+    return max(1, min(jobs, members))
+
+
+def _map_members(fn, members, jobs):
+    """``list(map(fn, members))`` on ``_worker_count(jobs, len(members))``
+    processes.  One worker means this process, and no multiprocessing
+    import.  When a member fails, queued members are cancelled and running
+    ones finish before the error propagates, so none writes afterwards."""
+    workers = _worker_count(jobs, len(members))
+    if workers == 1:
+        return list(map(fn, members))
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, members))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def int_list(text: str, what: str) -> list[int]:
     """Comma-separated integers; a non-integer is a usage error naming ``what``."""
     values = []
@@ -228,18 +256,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-def compare_policies(policies, base_config: SimConfig, seeds, jobs=1):
+def compare_policies(policies, base_config: SimConfig, seeds, jobs=None):
     """Per-policy medians over a shared seed set, plus the Most/Moderate
-    message ratio when both are present."""
+    message ratio when both are present.  The runs go to ``jobs`` worker
+    processes; None means every usable core."""
     configs = [(pol, replace(base_config, policy=pol, seed=s))
                for pol in policies for s in seeds]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_run_worker, [c for _, c in configs]))
-    else:
-        summaries = [_run_worker(c) for _, c in configs]
+    summaries = _map_members(_run_worker, [c for _, c in configs], jobs)
     by_policy = {}
     for (pol, _), summ in zip(configs, summaries):
         by_policy.setdefault(pol, []).append(summ)
@@ -305,38 +328,35 @@ def sweep_configs(sizes, base_config: SimConfig) -> list[SimConfig]:
             for n in sizes for pol in PolicyKind]
 
 
-def sweep_sizes(sizes, base_config: SimConfig, out_dir=None, jobs=1):
-    """Run ``sweep_configs``; growth-phase message totals feed the scaling
-    fit.  A failed sweep removes the CSVs it wrote."""
-    configs = sweep_configs(sizes, base_config)
-    with removed_on_failure() as written:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
+def _member_csv(out_dir: str, config: SimConfig) -> str:
+    return os.path.join(out_dir, run_name(config) + ".csv")
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                growth = _growth_totals(configs, pool.map(run, configs), out_dir, written)
-        else:
-            growth = _growth_totals(configs, map(run, configs), out_dir, written)
+
+def _sweep_member(config: SimConfig, out_dir) -> int:
+    """Run one sweep member, write its CSV when ``out_dir`` is set, and
+    return its growth-phase message total.  The run never leaves the
+    process that made it."""
+    result = run(config)
+    if out_dir is not None:
+        emit_timeseries_csv(result, _member_csv(out_dir, config))
+    return result.ledger.growth_messages
+
+
+def sweep_sizes(sizes, base_config: SimConfig, out_dir=None, jobs=None):
+    """Run ``sweep_configs``, largest first, on ``jobs`` worker processes
+    (None: every usable core); growth-phase message totals feed the scaling
+    fit.  A failed sweep removes every member CSV."""
+    # Largest first, so no long run starts last while the other workers idle.
+    configs = sorted(sweep_configs(sizes, base_config), key=lambda c: -c.n_max)
+    with removed_on_failure() as written:
+        if out_dir is not None:
+            written += [_member_csv(out_dir, c) for c in configs]
+        totals = _map_members(partial(_sweep_member, out_dir=out_dir), configs, jobs)
+        growth = {}
+        for cfg, total in zip(configs, totals):
+            growth.setdefault(cfg.policy, []).append((cfg.n_max, total))
         return {pol.value: fit_growth_exponent(sorted(points))
                 for pol, points in growth.items()}
-
-
-def _growth_totals(configs, results, out_dir, written):
-    """Consume results one at a time, in config order: keep each run's
-    growth-message total, write its CSV (listed in ``written``), then let the run go."""
-    growth = {}
-    # Not zip(configs, results): zip's reused tuple would keep the previous
-    # result alive while the next one is computed.
-    for cfg in configs:
-        result = next(results)
-        growth.setdefault(cfg.policy, []).append((cfg.n_max, result.ledger.growth_messages))
-        if out_dir is not None:
-            path = os.path.join(out_dir, run_name(cfg) + ".csv")
-            emit_timeseries_csv(result, path)
-            written.append(path)
-        # Drop it before the next run starts, so only one is alive at once.
-        del result
-    return growth
 
 
 def cmd_sweep(args) -> int:
@@ -358,7 +378,7 @@ def cmd_sweep(args) -> int:
     path = os.path.join(out, f"sweep_{'-'.join(map(str, sizes))}.json")
     # sweep_sizes removes its CSVs if it fails; they go too if the summary does.
     with removed_on_failure() as written:
-        written += [os.path.join(out, run_name(c) + ".csv") for c in sweep_configs(sizes, config)]
+        written += [_member_csv(out, c) for c in sweep_configs(sizes, config)]
         with atomic_write(path) as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

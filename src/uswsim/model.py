@@ -22,15 +22,14 @@ class PolicyKind(enum.Enum):
 
 
 class PreservationStatus(enum.Enum):
-    """Copy-count band of a family, with display color and numeric rank 1-4."""
+    """Copy-count band of a family, with its numeric rank 1-4."""
 
-    NONE_MADE = ("red", 1)
-    PARTIAL = ("yellow", 2)
-    AT_MIN = ("green", 3)
-    AT_MAX = ("blue", 4)
+    NONE_MADE = 1
+    PARTIAL = 2
+    AT_MIN = 3
+    AT_MAX = 4
 
-    def __init__(self, color, numeric):
-        self.color = color
+    def __init__(self, numeric):
         self.numeric = numeric
 
 

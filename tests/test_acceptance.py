@@ -278,7 +278,7 @@ def test_criterion_3_least_aggressive_failure_band(reference_batch):
 @pytest.fixture(scope="session")
 def feast_sweep():
     t0 = time.time()
-    fits = sweep_sizes([10, 50, 100, 250, 500], SimConfig(seed=1), out_dir=None)
+    fits = sweep_sizes([10, 50, 100, 250, 500], SimConfig(seed=1), out_dir=None, jobs=2)
     return fits, time.time() - t0
 
 

@@ -9,7 +9,14 @@ import pytest
 
 import uswsim
 from uswsim.analysis import summary_dict
-from uswsim.cli import CONFIG_TABLE, build_parser, config_from_args, main
+from uswsim.cli import (
+    CONFIG_TABLE,
+    _worker_count,
+    build_parser,
+    config_from_args,
+    main,
+    sweep_sizes,
+)
 from uswsim.engine import run
 from uswsim.model import PolicyKind, SimConfig
 
@@ -17,12 +24,20 @@ FAST = ["--n-max", "30", "--h-max", "60", "--max-events", "20000"]
 SRC = str(Path(uswsim.__file__).resolve().parent.parent)
 
 
+def _two_cores_at_most():
+    """Let a child run on at most two of this process's cores, so that its
+    default ``--jobs`` starts at most two workers."""
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+
+
 def invoke(argv, cwd=None, env_extra=None):
     env = os.environ.copy()
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "uswsim.cli", *argv],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=env,
+                          preexec_fn=_two_cores_at_most
+                          if hasattr(os, "sched_setaffinity") else None)
 
 
 class TestParsing:
@@ -292,12 +307,15 @@ class TestSweepCommand:
         assert f"uswsim: error: {message}" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
     @pytest.mark.parametrize("blocked", ["run_most_n25_seed1.csv", "sweep_10-20-25.json"])
-    def test_failed_sweep_leaves_no_outputs(self, tmp_path, blocked):
-        # A directory where the last member CSV or the summary should go
-        # makes that write fail after the other member CSVs were written.
+    def test_failed_sweep_leaves_no_outputs(self, tmp_path, blocked, jobs):
+        # A directory where a member CSV or the summary should go makes that
+        # write fail.  The largest members run first, so a blocked n=25 CSV
+        # fails while other members are queued or still running.
         (tmp_path / blocked).mkdir()
-        proc = invoke(["sweep", "--sizes", "10,20,25", "--out-dir", str(tmp_path)])
+        proc = invoke(["sweep", "--sizes", "10,20,25", "--jobs", jobs,
+                       "--out-dir", str(tmp_path)])
         assert proc.returncode == 2
         assert [p.name for p in tmp_path.iterdir()] == [blocked]
 
@@ -338,26 +356,55 @@ class TestInProcessMain:
 
 
 class TestParallelJobs:
+    # Each command runs with --jobs 1, with --jobs 2 and with no --jobs,
+    # which means every usable core (two at most under invoke), and must
+    # write the same bytes each time.
+    JOBS = {"serial": ["--jobs", "1"], "two": ["--jobs", "2"], "default": []}
+
+    def outputs(self, tmp_path, argv):
+        written = {}
+        for label, jobs in self.JOBS.items():
+            out = tmp_path / label
+            proc = invoke([*argv, *jobs, "--out-dir", str(out)])
+            assert proc.returncode == 0, proc.stderr
+            written[label] = {p.name: p.read_bytes() for p in out.iterdir()}
+        return written
+
     def test_compare_with_workers_matches_serial(self, tmp_path):
-        serial = invoke(["compare", "--policies", "least,most", "--seeds", "2",
-                         *FAST, "--out-dir", str(tmp_path / "s")])
-        parallel = invoke(["compare", "--policies", "least,most", "--seeds", "2",
-                           "--jobs", "2", *FAST, "--out-dir", str(tmp_path / "p")])
-        assert serial.returncode == 0 and parallel.returncode == 0
-        a = (tmp_path / "s" / "compare_n30_seeds2.json").read_text()
-        b = (tmp_path / "p" / "compare_n30_seeds2.json").read_text()
-        assert a == b
+        outputs = self.outputs(tmp_path, ["compare", "--policies", "least,most",
+                                          "--seeds", "2", *FAST])
+        assert list(outputs["serial"]) == ["compare_n30_seeds2.json"]
+        assert outputs["two"] == outputs["serial"]
+        assert outputs["default"] == outputs["serial"]
 
     def test_sweep_with_workers_matches_serial(self, tmp_path):
-        outputs = {}
-        for jobs in ("1", "2"):
-            out = tmp_path / jobs
-            proc = invoke(["sweep", "--sizes", "5,10,20", "--h-max", "60", "--jobs", jobs,
-                           "--out-dir", str(out)])
-            assert proc.returncode == 0
-            outputs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert len(outputs["1"]) == 10 and "sweep_5-10-20.json" in outputs["1"]
-        assert outputs["2"] == outputs["1"]
+        outputs = self.outputs(tmp_path, ["sweep", "--sizes", "5,10,20", "--h-max", "60"])
+        assert len(outputs["serial"]) == 10 and "sweep_5-10-20.json" in outputs["serial"]
+        assert outputs["two"] == outputs["serial"]
+        assert outputs["default"] == outputs["serial"]
+
+    def test_library_sweep_default_matches_serial(self, tmp_path, monkeypatch):
+        # Two usable cores, so the default starts two workers on any machine.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fits, files = {}, {}
+        for jobs in (1, None):
+            out = tmp_path / str(jobs)
+            out.mkdir()
+            fits[jobs] = sweep_sizes([5, 10, 20], SimConfig(h_max=60, seed=4),
+                                     out_dir=str(out), jobs=jobs)
+            files[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert fits[None] == fits[1]
+        assert len(files[1]) == 9 and files[None] == files[1]
+
+    def test_default_worker_count_is_usable_cores_capped_by_members(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert _worker_count(None, 9) == 3
+        assert _worker_count(None, 2) == 2
+        assert _worker_count(5, 9) == 5
+        assert _worker_count(5, 1) == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count(None, 9) == 4
 
 
 # The calls that need numpy, on small inputs.  They run in the pytest
@@ -374,8 +421,9 @@ values = [clustering_coefficient(grown), avg_path_length(grown), baseline.edges(
 """
 
 # Runs run, compare --jobs 1 and analyze in a fresh interpreter, notes which
-# heavy modules they loaded, then makes the numpy calls.  The last stdout
-# line is the JSON result.
+# heavy modules they loaded, then makes the numpy calls.  Last, sweep --jobs 1
+# runs, which loads numpy for its fit but must not load multiprocessing.  The
+# last stdout line is the JSON result.
 COLD_START = """
 import json, sys
 src, out, fast, heavy = sys.argv[1], sys.argv[2], json.loads(sys.argv[3]), sys.argv[4:]
@@ -388,7 +436,12 @@ assert main(["compare", "--policies", "least,most", "--seeds", "1", "--jobs", "1
 assert main(["analyze", out + "/run_least_n30_seed3.json"]) == 0
 loaded = [name for name in heavy if name in sys.modules]
 """ + NUMPY_CALLS + """
-print(json.dumps({"loaded": loaded, "numpy_after": "numpy" in sys.modules, "values": values}))
+numpy_after = "numpy" in sys.modules
+assert main(["sweep", "--sizes", "5,10,20", "--h-max", "60", "--jobs", "1",
+             "--out-dir", out]) == 0
+loaded_by_sweep = [name for name in heavy if name != "numpy" and name in sys.modules]
+print(json.dumps({"loaded": loaded, "numpy_after": numpy_after, "values": values,
+                  "loaded_by_sweep": loaded_by_sweep}))
 """
 
 
@@ -400,6 +453,7 @@ def test_run_compare_analyze_start_without_numpy_or_multiprocessing(tmp_path):
     child = json.loads(proc.stdout.splitlines()[-1])
     assert child["loaded"] == []
     assert child["numpy_after"]
+    assert child["loaded_by_sweep"] == []
     here = {}
     exec(NUMPY_CALLS, here)
     assert child["values"] == json.loads(json.dumps(here["values"]))

@@ -19,15 +19,12 @@ from uswsim.model import (
 class TestStatusOf:
     def test_zero_copies_is_red(self):
         assert status_of(0, 3, 5) is PreservationStatus.NONE_MADE
-        assert PreservationStatus.NONE_MADE.color == "red"
 
     def test_reaching_r_min_is_green(self):
         assert status_of(3, 3, 5) is PreservationStatus.AT_MIN
-        assert PreservationStatus.AT_MIN.color == "green"
 
     def test_reaching_r_max_is_blue(self):
         assert status_of(5, 3, 5) is PreservationStatus.AT_MAX
-        assert PreservationStatus.AT_MAX.color == "blue"
 
     def test_partial_band(self):
         assert status_of(1, 3, 5) is PreservationStatus.PARTIAL
