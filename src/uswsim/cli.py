@@ -51,6 +51,10 @@ JOBS_HELP = "worker processes (default: every usable core, at most one per run)"
 
 
 class _Parser(argparse.ArgumentParser):
+    # Exits 1 on usage errors.  No abbreviations: compare --seed is not --seeds.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -64,8 +68,10 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_config_flags(p: _Parser):
+def _add_config_flags(p: _Parser, overridden=()):
     for dest, field, text in CONFIG_TABLE:
+        if dest in overridden:  # the command sets it; a --config value is replaced
+            continue
         default = getattr(DEFAULTS, field)
         if isinstance(default, PolicyKind):
             default, kind = default.value, {"choices": POLICIES}
@@ -94,7 +100,7 @@ def build_parser() -> _Parser:
                        help="also write the final friendship graph as an edge list")
 
     p_cmp = sub.add_parser("compare", help="run several policies over a seed set")
-    _add_config_flags(p_cmp)
+    _add_config_flags(p_cmp, overridden=("policy", "seed"))
     p_cmp.add_argument("--policies", default="least,moderate,most",
                        help="comma-separated policies to compare (default: all three)")
     p_cmp.add_argument("--seeds", type=positive_int, default=20,
@@ -102,7 +108,7 @@ def build_parser() -> _Parser:
     p_cmp.add_argument("--jobs", type=positive_int, default=None, help=JOBS_HELP)
 
     p_swp = sub.add_parser("sweep", help="feast-condition scaling sweep over system sizes")
-    _add_config_flags(p_swp)
+    _add_config_flags(p_swp, overridden=("policy", "n_max", "capacity"))
     p_swp.add_argument("--sizes", default="10,50,100,250,500",
                        help="comma-separated ascending DO counts (default: 10,50,100,250,500)")
     p_swp.add_argument("--jobs", type=positive_int, default=None, help=JOBS_HELP)
@@ -153,7 +159,7 @@ def config_from_args(args) -> SimConfig:
         if key in file_vals and not fits(file_vals[key]):
             raise UsageError(f"{args.config}: {key} must be {wanted}, "
                              f"got {json.dumps(file_vals[key])}")
-        value = getattr(args, dest)
+        value = getattr(args, dest, None)
         if value is None:
             value = file_vals.get(key)
         if value is not None:

@@ -1,14 +1,14 @@
 """Deterministic discrete-event loop driving introduction, wandering,
 placement, announcement, sacrifice and replenishment.
 
-The clock advances one tick per processed event.  A new DO is introduced
+``World.events()`` processes one event per iteration; ``run`` drives it to
+the end.  The clock advances one tick per event.  A new DO is introduced
 every ``intro_interval`` ticks until ``n_max`` exist; all other work drains
 from a FIFO queue (ties broken by DO id at enqueue time).  Families act on
 what they believe about hosts, go dormant when they know of no openings,
 and are woken only by news.  Growth ends at the event that connects the
-last DO; the run ends when the queue drains after the last introduction.
-Families may still have openings at that point (``family_has_opening``):
-none of them is queued to act on one.
+last DO; the run ends at ``max_events`` or when the queue drains after the
+last introduction (``"steady_state"``), even with a family still open.
 
 All randomness comes from one seeded generator, drawn in a fixed order, so
 identical configurations replay identically.
@@ -69,13 +69,6 @@ class MessageLedger:
     def kind_counts(self) -> dict[MessageKind, int]:
         counts = self.counts
         return {kind: counts[kind.code] for kind in MessageKind if counts[kind.code]}
-
-
-# Queue action tags.
-_WANDER = 0
-_PLACE = 1
-_ANNOUNCE = 2
-_CHASE = 3
 
 
 class World:
@@ -183,10 +176,10 @@ class World:
         donor_fam = self.families[donor]
         if not donor_fam.pending and donor_fam.copy_count < donor_fam.r_max:
             donor_fam.pending = True
-            self.queue.append((_PLACE, donor, False))
+            self.queue.append(("place", donor, False))
 
     def enqueue_chase(self, do_id: int):
-        self.queue.append((_CHASE, do_id))
+        self.queue.append(("chase", do_id))
 
     # ----- host / family creation ----------------------------------------
 
@@ -213,7 +206,7 @@ class World:
             self._connect(fam, state)
         else:
             self.wanderers[do] = state
-            self.queue.append((_WANDER, do))
+            self.queue.append(("wander", do))
         return do, state
 
     def _connect(self, fam: Family, state: WanderState):
@@ -221,7 +214,7 @@ class World:
         self.connected_order.append(fam.do_id)
         self.wanderers.pop(fam.do_id, None)
         fam.pending = True
-        self.queue.append((_PLACE, fam.do_id, True))
+        self.queue.append(("place", fam.do_id, True))
         if not self.wanderers and len(self.families) == self.config.n_max:
             # The last DO has joined: growth ends with this event.  _connect
             # is the last step of every event that calls it, so the event's
@@ -244,7 +237,7 @@ class World:
             self.send_each(MessageKind.LINK_ACK, friends, do)
             self._connect(self.families[do], state)
         else:
-            self.queue.append((_WANDER, do))
+            self.queue.append(("wander", do))
 
     def _contact(self, fam: Family, host_id: int) -> bool:
         """One request to one host; returns True when a copy landed.
@@ -293,7 +286,7 @@ class World:
                 if fresh:
                     new_hosts.append(host_id)
         if new_hosts:
-            self.queue.append((_ANNOUNCE, fam.do_id, tuple(new_hosts)))
+            self.queue.append(("announce", fam.do_id, tuple(new_hosts)))
 
     def _process_chase(self, do: int):
         """Visit the one announced host this family has been pointed at."""
@@ -347,53 +340,54 @@ class World:
         self.effectiveness_series.append(eff)
         self.cum_sent_series.append(self.ledger.total)
 
+    # ----- the event loop ----------------------------------------------------
+
+    def events(self):
+        """Process the run one event per iteration and yield each event's kind
+        (``"introduce"``, ``"wander"``, ``"place"``, ``"announce"``, ``"chase"``,
+        ``"idle"``); at the end, set ``terminated_by`` and take the last bin sample."""
+        cfg = self.config
+        queue = self.queue
+        while True:
+            if self.t >= cfg.max_events:
+                self.terminated_by = "max_events"
+                break
+            joining = len(self.families) < cfg.n_max
+            if not joining and not queue:
+                # Every DO is in, none is wandering and none is queued to act.
+                self.terminated_by = "steady_state"
+                break
+            intro_due = joining and self.t % cfg.intro_interval == 0
+            self.t += 1
+            if intro_due:
+                self.introduce_do()
+                event = "introduce"
+            elif queue:
+                item = queue.popleft()
+                event = item[0]
+                if event == "wander":
+                    self._process_wander(item[1])
+                elif event == "place":
+                    self._process_place(item[1], item[2])
+                elif event == "announce":
+                    self._process_announce(item[1], item[2])
+                else:
+                    self._process_chase(item[1])
+            else:
+                event = "idle"
+            if self.t % cfg.bin_size == 0:
+                self.sample_bin()
+            yield event
+        if not self.bin_ts or self.bin_ts[-1] != self.t:
+            self.sample_bin()
+
 
 def run(config: SimConfig, invariant_hook=None) -> World:
-    """Execute one simulation until its queue drains after the last
-    introduction (or the event cap) and return the finished world.
-
-    A drained run is labelled ``"steady_state"``; families may still have
-    openings then, since none of them is queued to look for one.
-    ``invariant_hook(world, event)`` is called after every event.
-    """
+    """Run one simulation to its end and return the finished world.
+    ``invariant_hook(world, event)``, called after every event, has one user,
+    the benchmark's tracer; other callers iterate ``World.events()``."""
     world = World(config)
-    cfg = config
-    bin_size = cfg.bin_size
-    while True:
-        if world.t >= cfg.max_events:
-            world.terminated_by = "max_events"
-            break
-        joining = len(world.families) < cfg.n_max
-        intro_due = joining and world.t % cfg.intro_interval == 0
-        if intro_due:
-            world.t += 1
-            world.introduce_do()
-            event = "introduce"
-        elif world.queue:
-            world.t += 1
-            item = world.queue.popleft()
-            if item[0] == _WANDER:
-                world._process_wander(item[1])
-            elif item[0] == _PLACE:
-                world._process_place(item[1], item[2])
-            elif item[0] == _ANNOUNCE:
-                world._process_announce(item[1], item[2])
-            else:
-                world._process_chase(item[1])
-            event = ("wander", "place", "announce", "chase")[item[0]]
-        elif joining:
-            world.t += 1
-            event = "idle"
-        else:
-            # Every DO is introduced and the queue is empty, so no wanderer
-            # is left and no family is queued to act.  Families may still
-            # have openings; nothing here wakes them.
-            world.terminated_by = "steady_state"
-            break
-        if world.t % bin_size == 0:
-            world.sample_bin()
+    for event in world.events():
         if invariant_hook is not None:
             invariant_hook(world, event)
-    if not world.bin_ts or world.bin_ts[-1] != world.t:
-        world.sample_bin()
     return world

@@ -16,9 +16,8 @@ from random import Random
 import pytest
 
 import ledger_views
-import uswsim.engine as engine_mod
 from uswsim.cli import sweep_sizes
-from uswsim.engine import run
+from uswsim.engine import World, run
 from uswsim.graph import (
     avg_path_length,
     clustering_coefficient,
@@ -26,9 +25,7 @@ from uswsim.graph import (
     uniform_random_graph,
 )
 from uswsim.model import MessageKind, NamedCondition, PolicyKind, SimConfig, classify_condition
-from uswsim.preservation import eligible_donor
-from uswsim.preservation import place_copy as real_place_copy
-from uswsim.preservation import try_sacrifice as real_try_sacrifice
+from uswsim.preservation import Family
 
 PAPER = dict(n_max=500, h_max=1000, r_min=3, r_max=5, host_capacity=5)
 SEEDS = tuple(range(1, 21))
@@ -43,13 +40,13 @@ def verdict(name, ok, detail):
 
 
 class Instrumentation:
-    """Per-event invariant monitor plus transition guards.
+    """Per-event invariant monitor.
 
-    Cheap aggregate checks run after every event; a structural audit runs
-    every 200 events and at each run end, where the run's recorded message
-    rows are also checked against its ledger.  Sacrifice and placement
-    calls are wrapped so the donor rules are verified on every single
-    transition.
+    Cheap aggregate checks run after every event, and each event's slice of
+    the copy trail is checked against the sacrifice rules
+    (``sacrifice_violations``); a structural audit runs every 200 events and
+    at each run end, where the run's recorded message rows are also checked
+    against its ledger.
     """
 
     AUDIT_EVERY = 200
@@ -58,12 +55,15 @@ class Instrumentation:
         self.events = 0
         self.violations = []
 
-    def hook(self, world, event):
+    def after_event(self, world, moves):
+        """Check ``world`` after one event whose copy moves were ``moves``."""
         self.events += 1
         if world.copies_total != world.slots_used_total:
             self.violations.append(
                 f"slot conservation broke at t={world.t}: "
                 f"{world.copies_total} copies vs {world.slots_used_total} slots")
+        if moves:
+            self.violations += sacrifice_violations(world.families, moves)
         if self.events % self.AUDIT_EVERY == 0:
             self.audit(world)
 
@@ -105,54 +105,45 @@ class Instrumentation:
         if copies != slots:
             self.violations.append("final slot conservation broke")
 
-    def guarded_try_sacrifice(self, beneficiary, host_id, world):
-        host = world.hosts[host_id]
-        expected = eligible_donor(host, world)
-        used_before = host.used
-        benef_before = beneficiary.copy_count
-        if benef_before >= beneficiary.r_min:
-            self.violations.append("sacrifice requested for satisfied family")
-        donor_before = world.families[expected].copy_count if expected else None
-        donor_id = real_try_sacrifice(beneficiary, host_id, world)
-        if donor_id is None:
-            if expected is not None:
-                self.violations.append("eligible donor ignored")
-            return None
-        donor = world.families[donor_id]
-        if donor_id != expected:
-            self.violations.append("donor selection mismatch")
-        if donor_before is None or donor_before <= donor.r_min:
-            self.violations.append("family at or below r_min donated")
-        if donor.copy_count != donor_before - 1 or donor.copy_count < donor.r_min:
-            self.violations.append("donor dropped below r_min")
-        if donor.copy_count < 1:
-            self.violations.append("donor lost its last replica")
-        if beneficiary.copy_count != benef_before + 1:
-            self.violations.append("beneficiary gained wrong number of copies")
-        if host.used != used_before:
-            self.violations.append("sacrifice changed slot usage")
-        return donor_id
-
-    def guarded_place_copy(self, fam, host_id, world):
-        if host_id in fam.copies or host_id == fam.home_host:
-            self.violations.append("placement would collide with own replica")
-        if fam.copy_count >= fam.r_max:
-            self.violations.append("placement past r_max attempted")
-        return real_place_copy(fam, host_id, world)
-
 
 def run_instrumented(config, monitor):
     """The finished run and the ``MessageRecorder`` that saw its messages."""
-    engine_mod.try_sacrifice = monitor.guarded_try_sacrifice
-    engine_mod.place_copy = monitor.guarded_place_copy
-    try:
-        with ledger_views.MessageRecorder() as recorder:
-            result = run(config, invariant_hook=monitor.hook)
-    finally:
-        engine_mod.try_sacrifice = real_try_sacrifice
-        engine_mod.place_copy = real_place_copy
-    monitor.audit_result(result, recorder)
-    return result, recorder
+    world = World(config)
+    seen = 0
+    with ledger_views.MessageRecorder() as recorder:
+        for _ in world.events():
+            trail = world.copy_events
+            monitor.after_event(world, trail[seen:])
+            seen = len(trail)
+    monitor.audit_result(world, recorder)
+    return world, recorder
+
+
+def sacrifice_violations(families, moves):
+    """Copy moves of one event (its slice of ``World.copy_events``) that break
+    the sacrifice rules, given ``families`` as the event left them.  A copy
+    leaves a host only in a sacrifice: the next move stores another family's
+    copy on that host, the donor keeps at least its r_min and one copy, and
+    the beneficiary was below its r_min."""
+    held = {}
+    for _, do, _, delta in moves:  # wind each family back to its count before the event
+        held[do] = held.get(do, families[do].copy_count) - delta
+    found = []
+    for i, (t, do, host, delta) in enumerate(moves):
+        held[do] += delta
+        if delta > 0:
+            continue
+        taker = moves[i + 1][1] if i + 1 < len(moves) else None
+        if taker is None or moves[i + 1][2:] != (host, 1) or taker == do:
+            found.append(f"family {do} lost its copy on host {host} at t={t} "
+                         f"and no other family's copy took the slot")
+            continue
+        if held[do] < max(families[do].r_min, 1):
+            found.append(f"donor {do} left with {held[do]} copies at t={t}")
+        if held[taker] >= families[taker].r_min:
+            found.append(f"beneficiary {taker} held {held[taker]} copies, "
+                         f"not below its r_min, at t={t}")
+    return found
 
 
 def pairing_violations(ledger, edges, placements, denials, sacrifices, recorder=None):
@@ -441,7 +432,7 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
 
 
 def test_pairing_audit_flags_unbalanced_ledgers(recorder):
-    world = engine_mod.World(SimConfig(n_max=2, h_max=4))
+    world = World(SimConfig(n_max=2, h_max=4))
     assert pairing_violations(world.ledger, 0, 0, 0, 0, recorder) == []
     world.send(MessageKind.CONTACT, 1, 2)
     world.send(MessageKind.LINK_REQUEST, 1, 2)
@@ -470,3 +461,18 @@ def test_audit_flags_believed_count_at_capacity(capacity):
     monitor.audit(world)
     assert monitor.violations == [
         f"family 7 believes a host has {max(capacity, 1)} free slots of {capacity}"]
+
+
+@pytest.mark.parametrize("moves, after, found", [
+    ([(9, 1, 5, -1), (9, 2, 5, 1)], {1: {2, 3, 4}, 2: {5, 6}}, []),
+    ([(9, 1, 5, -1)], {1: {2, 3, 4}, 2: {6}},
+     ["family 1 lost its copy on host 5 at t=9 and no other family's copy took the slot"]),
+    ([(9, 1, 4, -1), (9, 2, 4, 1)], {1: {2, 3}, 2: {4, 6}},
+     ["donor 1 left with 2 copies at t=9"]),
+], ids=["sacrifice", "removal-without-placement", "donor-below-r_min"])
+def test_trail_audit_flags_broken_sacrifices(moves, after, found):
+    families = {}
+    for do, copies in after.items():
+        families[do] = Family(do, 10 + do, 3, 5, 0)
+        families[do].copies = copies
+    assert sacrifice_violations(families, moves) == found

@@ -287,6 +287,28 @@ def test_zero_jobs_rejected(tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, dest, value", [
+    ("compare", "policy", "most"), ("compare", "seed", 99),
+    ("sweep", "policy", "most"), ("sweep", "n_max", 7), ("sweep", "capacity", 1),
+])
+def test_flag_the_command_overrides_rejected(tmp_path, capsys, command, dest, value):
+    # compare sets each run's policy and seed, sweep its policy, n_max and
+    # capacity: such a flag is a usage error, made before any output
+    # directory.  The same key in --config (a summary's config) is accepted.
+    out = tmp_path / "out"
+    flag = "--" + dest.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, str(value), "--out-dir", str(out)])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({dest: value}))
+    cfg = config_from_args(build_parser().parse_args([command, "--config", str(cfg_file)]))
+    field = {d: f for d, f, _ in CONFIG_TABLE}[dest]
+    assert getattr(cfg, field) == (PolicyKind(value) if dest == "policy" else value)
+
+
 class TestSweepCommand:
     def test_single_size_rejected(self):
         proc = invoke(["sweep", "--sizes", "10"])

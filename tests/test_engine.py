@@ -47,6 +47,23 @@ class TestRunBasics:
         assert result.terminated_by == "max_events"
         assert result.final_t == 200
 
+    @pytest.mark.parametrize("max_events, end", [(100_000, "steady_state"),
+                                                 (437, "max_events")])
+    def test_hook_sees_every_event_that_events_yields(self, max_events, end):
+        # 30 DOs arrive every 15 events from t=1, the last at t=436; the run
+        # drains a few events later, so a cut at 437 comes after every arrival.
+        cfg = SimConfig(n_max=30, h_max=60, seed=5, max_events=max_events)
+        seen = []
+        result = run(cfg, invariant_hook=lambda w, event: seen.append((w, w.t, event)))
+        world = World(cfg)
+        stepped = [(world.t, event) for event in world.events()]
+        assert all(w is result for w, _, _ in seen)
+        assert [(t, event) for _, t, event in seen] == stepped
+        assert [t for t, _ in stepped] == list(range(1, result.final_t + 1))
+        assert [event for _, event in stepped].count("introduce") == cfg.n_max
+        assert result.terminated_by == world.terminated_by == end
+        assert result.bin_ts == world.bin_ts and result.bin_ts[-1] == result.final_t
+
     def test_series_lengths_cover_run(self):
         result = run(SimConfig(n_max=40, h_max=80, seed=3))
         bins = -(-result.final_t // result.config.bin_size)  # ceil
@@ -172,15 +189,13 @@ class TestPhases:
     @pytest.mark.parametrize("policy", list(PolicyKind))
     def test_boundary_is_first_event_with_everyone_joined(self, policy):
         cfg = SimConfig(n_max=60, h_max=120, seed=8, policy=policy)
+        world = World(cfg)
         first = []
-
-        def hook(world, event):
+        for _ in world.events():
             if not first and len(world.families) == cfg.n_max and not world.wanderers:
                 first.append((world.t, world.ledger.total))
-
-        result = run(cfg, invariant_hook=hook)
-        assert first == [(result.phase_boundary_t, result.ledger.growth_messages)]
-        assert result.ledger.growth_total == result.ledger.growth_messages
+        assert first == [(world.phase_boundary_t, world.ledger.growth_messages)]
+        assert world.ledger.growth_total == world.ledger.growth_messages
 
     def test_growth_only_run(self, tmp_path):
         # Cut at max_events while DOs are still joining: maintenance never began.

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ledger_views
-from uswsim.engine import World, run
+from uswsim.engine import World
 from uswsim.model import MessageKind, PolicyKind, SimConfig
 from uswsim.preservation import (
     Family,
@@ -143,13 +143,11 @@ class TestRankingMatchesPlainSort:
     def test_run_states(self, config):
         checked = []
         mismatches = []
-
-        def hook(world, event):
+        world = World(config)
+        for _ in world.events():
             if world.t % 200 == 0:
                 checked.append(world.t)
                 mismatches.extend((world.t, *m) for m in ranking_mismatches(world))
-
-        world = run(config, invariant_hook=hook)
         mismatches.extend((world.t, *m) for m in ranking_mismatches(world))
         assert len(checked) >= 35
         assert mismatches == []
