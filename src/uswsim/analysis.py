@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 from .engine import World
 from .fileio import atomic_write
-from .model import HostBand, PreservationStatus, classify_condition, host_band, status_value
+from .model import HostBand, PreservationStatus, classify_condition, host_band, status_of
 
 
 @dataclass(frozen=True)
@@ -95,20 +95,18 @@ CSV_HEADER = ("t,phase,effectiveness,cum_sent,"
 def emit_timeseries_csv(result: World, path):
     """One row per time bin with status and host-band fractions."""
     boundary = result.phase_boundary_t
-    try:
-        with atomic_write(path) as fh:
-            fh.write(CSV_HEADER + "\n")
-            for i, t in enumerate(result.bin_ts):
-                phase = "growth" if boundary is None or t < boundary else "maintenance"
-                do_f = result.status_series[i]
-                ho_f = result.host_series[i]
-                row = [str(t), phase, f"{result.effectiveness_series[i]:.6f}",
-                       str(result.cum_sent_series[i])]
-                row += [f"{v:.6f}" for v in do_f]
-                row += [f"{v:.6f}" for v in ho_f]
-                fh.write(",".join(row) + "\n")
-    except OSError as exc:
-        raise OSError(f"writing timeseries CSV to {path}: {exc}") from exc
+    with atomic_write(path) as fh:
+        fh.write(CSV_HEADER + "\n")
+        for i, t in enumerate(result.bin_ts):
+            # The ledger counts the boundary event itself as growth.
+            phase = "growth" if boundary is None or t <= boundary else "maintenance"
+            do_f = result.status_series[i]
+            ho_f = result.host_series[i]
+            row = [str(t), phase, f"{result.effectiveness_series[i]:.6f}",
+                   str(result.cum_sent_series[i])]
+            row += [f"{v:.6f}" for v in do_f]
+            row += [f"{v:.6f}" for v in ho_f]
+            fh.write(",".join(row) + "\n")
 
 
 def summary_dict(result: World) -> dict:
@@ -155,26 +153,27 @@ def summary_dict(result: World) -> dict:
 
 
 def emit_summary_json(result: World, path):
-    try:
-        with atomic_write(path) as fh:
-            json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"writing summary JSON to {path}: {exc}") from exc
+    with atomic_write(path) as fh:
+        json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def snapshot_state(result: World, t: int):
-    """Reconstruct per-family copy counts and host usage as of event t."""
+    """Reconstruct per-family copy counts, host usage and discovered hosts
+    as of event t.  A family asks only its friends' homes and hosts that
+    took a copy, starting from its own home, so every host asked is a home:
+    the hosts discovered by t are the homes of the DOs introduced by t."""
     if t < 0 or t > result.final_t:
         raise ValueError(f"snapshot t={t} outside run of length {result.final_t}")
-    copies = {do: 0 for do, f in result.families.items() if f.intro_t <= t}
+    joined = [f for f in result.families.values() if f.intro_t <= t]
+    copies = {f.do_id: 0 for f in joined}
     used = {}
     for et, do, host, delta in result.copy_events:
         if et > t:
             break
         copies[do] = copies.get(do, 0) + delta
         used[host] = used.get(host, 0) + delta
-    discovered = {h for et, h in result.discovery_events if et <= t}
+    discovered = {f.home_host for f in joined}
     return copies, used, discovered
 
 
@@ -184,7 +183,7 @@ _BAND_FILL = {
     HostBand.YELLOW: "#e6c229", HostBand.GREEN: "#2ca02c", HostBand.BLUE: "#1f77b4",
 }
 # Histogram colours in series column order: statuses by rank, bands as declared.
-_STATUS_COLS = [_STATUS_FILL[s.numeric] for s in PreservationStatus]
+_STATUS_COLS = [_STATUS_FILL[s.value] for s in PreservationStatus]
 _HOST_COLS = [_BAND_FILL[band] for band in HostBand]
 
 
@@ -242,7 +241,7 @@ def emit_snapshot_svg(result: World, t: int, path):
     for do in order:
         ring, slot = layout[do]
         fam = result.families[do]
-        v = status_value(copies[do], fam.r_min, fam.r_max)
+        v = status_of(copies[do], fam.r_min, fam.r_max).value
         if ring == 0:
             x, y = cx, cy
         else:
@@ -273,8 +272,5 @@ def emit_snapshot_svg(result: World, t: int, path):
         parts += _svg_histogram(result.host_series, _HOST_COLS,
                                 half + 20, hist_y, half - 40, hist_h, upto)
     parts.append("</svg>")
-    try:
-        with atomic_write(path) as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise OSError(f"writing snapshot SVG to {path}: {exc}") from exc
+    with atomic_write(path) as fh:
+        fh.write("\n".join(parts) + "\n")

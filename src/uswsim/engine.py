@@ -20,12 +20,7 @@ from collections import deque
 from random import Random
 
 from .graph import FriendshipGraph, WanderState, finalize_links, start_wander, wander_step
-from .model import (
-    MessageKind,
-    SimConfig,
-    host_band,
-    status_value,
-)
+from .model import MessageKind, SimConfig, host_band, status_of
 from .preservation import (
     Family,
     Host,
@@ -88,22 +83,19 @@ class World:
         self.phase_boundary_t: int | None = None
         self.terminated_by = "incomplete"
 
-        # Live aggregates for O(1) sampling and conservation checks.  Every
-        # family has the config's r_min/r_max and every host its capacity,
-        # so the status index by copy count and the band by slots used are
-        # tabulated once from model's rules.
+        # Live aggregates for O(1) sampling.  Every family has the config's
+        # r_min/r_max and every host its capacity, so the status index by
+        # copy count and the band by slots used are tabulated once from
+        # model's rules.
         self.status_counts = [0, 0, 0, 0]
-        self._status_index = [status_value(c, config.r_min, config.r_max) - 1
+        self._status_index = [status_of(c, config.r_min, config.r_max).value - 1
                               for c in range(config.r_max + 1)]
         self._band_name = [host_band(used, config.host_capacity, True).value
                            for used in range(config.host_capacity + 1)]
-        self.copies_total = 0
-        self.slots_used_total = 0
         self.host_band_counts = {"white": 0, "red": 0, "yellow": 0, "green": 0, "blue": 0}
 
-        # Event trails for snapshot reconstruction.
+        # The copy trail, for snapshot reconstruction.
         self.copy_events: list[tuple[int, int, int, int]] = []
-        self.discovery_events: list[tuple[int, int]] = []
 
         self.placements = 0
         self.sacrifices = 0
@@ -154,27 +146,32 @@ class World:
         self.ledger.counts[kind.code] += len(many)
 
     def note_copy(self, fam: Family, host: Host, delta: int):
-        """Book a copy of ``fam`` just stored on (+1) or removed from (-1) ``host``."""
+        """Store (+1) or remove (-1) a copy of ``fam`` on ``host`` and book it.
+
+        The only code that changes who holds a copy."""
+        if delta > 0:
+            fam.copies.add(host.host_id)
+            host.foreign.add(fam.do_id)
+            self.placements += 1
+        else:
+            fam.copies.remove(host.host_id)
+            host.foreign.remove(fam.do_id)
         status = self._status_index
         counts = self.status_counts
         c = len(fam.copies)
         counts[status[c - delta]] -= 1
         counts[status[c]] += 1
-        self.copies_total += delta
-        self.slots_used_total += delta
         band = self._band_name
         bands = self.host_band_counts
         used = len(host.foreign)
         bands[band[used - delta]] -= 1
         bands[band[used]] += 1
         self.copy_events.append((self.t, fam.do_id, host.host_id, delta))
-        if delta > 0:
-            self.placements += 1
 
     def note_sacrifice(self, donor: int):
         self.sacrifices += 1
         donor_fam = self.families[donor]
-        if not donor_fam.pending and donor_fam.copy_count < donor_fam.r_max:
+        if not donor_fam.pending:
             donor_fam.pending = True
             self.queue.append(("place", donor, False))
 
@@ -189,7 +186,6 @@ class World:
             host = Host(host_id, self.config.host_capacity)
             self.hosts[host_id] = host
             self.host_band_counts["white"] += 1
-            self.discovery_events.append((self.t, host_id))
         return host
 
     def introduce_do(self) -> tuple[int, WanderState]:
@@ -293,7 +289,7 @@ class World:
         fam = self.families[do]
         host_id = fam.chase_target
         fam.chase_target = None
-        if host_id is None or fam.copy_count >= fam.r_max:
+        if fam.copy_count >= fam.r_max:
             return
         if host_id == fam.home_host or host_id in fam.copies:
             return
@@ -320,14 +316,11 @@ class World:
         return False
 
     def sample_bin(self):
+        # Never empty: every run's first event introduces a DO.
         n = len(self.families)
-        if n:
-            fracs = tuple(c / n for c in self.status_counts)
-            rank_sum = sum(rank * c for rank, c in enumerate(self.status_counts, 1))
-            eff = (rank_sum - n) / (3 * n)
-        else:
-            fracs = (0.0, 0.0, 0.0, 0.0)
-            eff = 0.0
+        fracs = tuple(c / n for c in self.status_counts)
+        rank_sum = sum(rank * c for rank, c in enumerate(self.status_counts, 1))
+        eff = (rank_sum - n) / (3 * n)
         h_max = self.config.h_max
         grey = h_max - len(self.hosts)
         bands = self.host_band_counts

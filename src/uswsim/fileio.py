@@ -12,6 +12,7 @@ def atomic_write(path):
 
     Writes go to a temporary file in the same directory, which replaces
     ``path`` when the block ends without error and is removed otherwise.
+    An ``OSError`` is raised again as ``writing <path>: <error>``.
     """
     path = os.fspath(path)
     head, tail = os.path.split(path)
@@ -20,9 +21,11 @@ def atomic_write(path):
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"writing {path}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -178,13 +178,13 @@ def finalize_links(state: WanderState, graph: FriendshipGraph,
 
 
 def grow_graph(n: int, link_probability: float = 0.5, extra_link_fraction: float = 0.33,
-               rng: Random | None = None, seed: int = 1) -> FriendshipGraph:
+               seed: int = 1) -> FriendshipGraph:
     """Grow an n-node USW graph outside the full simulator.
 
     Used for graph-metric studies; the simulator drives the same three
     operations through its event loop.
     """
-    rng = rng if rng is not None else Random(seed)
+    rng = Random(seed)
     graph = FriendshipGraph()
     connected: list[int] = []
     for do in range(1, n + 1):

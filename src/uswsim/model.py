@@ -22,15 +22,12 @@ class PolicyKind(enum.Enum):
 
 
 class PreservationStatus(enum.Enum):
-    """Copy-count band of a family, with its numeric rank 1-4."""
+    """Copy-count band of a family; its value is its rank 1-4."""
 
     NONE_MADE = 1
     PARTIAL = 2
     AT_MIN = 3
     AT_MAX = 4
-
-    def __init__(self, numeric):
-        self.numeric = numeric
 
 
 class HostBand(enum.Enum):
@@ -132,10 +129,6 @@ def status_of(c: int, r_min: int, r_max: int) -> PreservationStatus:
     if c < r_max:
         return PreservationStatus.AT_MIN
     return PreservationStatus.AT_MAX
-
-
-def status_value(c: int, r_min: int, r_max: int) -> int:
-    return status_of(c, r_min, r_max).numeric
 
 
 def host_band(used: int, capacity: int, discovered: bool) -> HostBand:

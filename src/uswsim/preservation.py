@@ -142,16 +142,10 @@ def place_copy(family: Family, host_id: int, world) -> PlaceOutcome:
         family.believed_free[host_id] = 0
         world.send(MessageKind.COPY_DENY, host_id, family.do_id)
         return PlaceOutcome.DENIED
-    _store_replica(family, host, world)
+    world.note_copy(family, host, 1)
     family.believed_free[host_id] = host.free_slots
     world.send(MessageKind.COPY_ACK, host_id, family.do_id)
     return PlaceOutcome.PLACED
-
-
-def _store_replica(family: Family, host: Host, world):
-    family.copies.add(host.host_id)
-    host.foreign.add(family.do_id)
-    world.note_copy(family, host, 1)
 
 
 def eligible_donor(host: Host, world) -> int | None:
@@ -192,11 +186,9 @@ def try_sacrifice(beneficiary: Family, host_id: int, world) -> int | None:
         world.send(MessageKind.COPY_DENY, host_id, beneficiary.do_id)
         return None
     donor = world.families[donor_id]
-    host.foreign.remove(donor_id)
-    donor.copies.remove(host_id)
     world.note_copy(donor, host, -1)
     world.send(MessageKind.SACRIFICE_DIRECTIVE, host_id, donor_id)
-    _store_replica(beneficiary, host, world)
+    world.note_copy(beneficiary, host, 1)
     donor.believed_free[host_id] = 0
     world.note_sacrifice(donor_id)
     world.send(MessageKind.COPY_ACK, host_id, beneficiary.do_id)

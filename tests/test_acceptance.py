@@ -58,10 +58,6 @@ class Instrumentation:
     def after_event(self, world, moves):
         """Check ``world`` after one event whose copy moves were ``moves``."""
         self.events += 1
-        if world.copies_total != world.slots_used_total:
-            self.violations.append(
-                f"slot conservation broke at t={world.t}: "
-                f"{world.copies_total} copies vs {world.slots_used_total} slots")
         if moves:
             self.violations += sacrifice_violations(world.families, moves)
         if self.events % self.AUDIT_EVERY == 0:
@@ -91,7 +87,7 @@ class Instrumentation:
             if host.used > host.capacity:
                 self.violations.append(f"host {host.host_id} above capacity")
             used_sum += host.used
-        if copies_sum != used_sum or copies_sum != world.copies_total:
+        if copies_sum != used_sum or copies_sum != world.placements - world.sacrifices:
             self.violations.append("copy/slot sums diverged")
         self.violations += pairing_violations(world.ledger, world.graph.edge_count,
                                               world.placements, world.denials, world.sacrifices)
@@ -461,6 +457,28 @@ def test_audit_flags_believed_count_at_capacity(capacity):
     monitor.audit(world)
     assert monitor.violations == [
         f"family 7 believes a host has {max(capacity, 1)} free slots of {capacity}"]
+
+
+def test_audit_flags_host_that_lost_a_copy():
+    world = run(SimConfig(n_max=30, h_max=60, seed=3))
+    fam = world.families[7]
+    host_id = min(fam.copies)
+    world.hosts[host_id].foreign.remove(7)
+    monitor = Instrumentation()
+    monitor.audit(world)
+    assert monitor.violations == [f"family 7 and host {host_id} disagree",
+                                  "copy/slot sums diverged"]
+
+
+def test_audit_flags_copies_off_the_placement_count():
+    world = run(SimConfig(n_max=30, h_max=60, seed=3))
+    world.placements += 1
+    monitor = Instrumentation()
+    monitor.audit(world)
+    assert monitor.violations == [
+        "copy/slot sums diverged",
+        f"message pairing broke: copy_ack {world.placements - 1} "
+        f"!= placements {world.placements}"]
 
 
 @pytest.mark.parametrize("moves, after, found", [

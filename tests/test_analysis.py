@@ -16,8 +16,9 @@ from uswsim.analysis import (
     tree_ring_layout,
 )
 from uswsim.engine import World, run
-from uswsim.model import PolicyKind, SimConfig, status_value
-from uswsim.preservation import Family, _store_replica
+from uswsim.fileio import atomic_write
+from uswsim.model import PolicyKind, SimConfig, status_of
+from uswsim.preservation import Family
 
 
 def effectiveness_of(copy_counts, r_min=3, r_max=5):
@@ -28,7 +29,7 @@ def effectiveness_of(copy_counts, r_min=3, r_max=5):
         world.families[do] = fam
         world.status_counts[0] += 1
         for i in range(count):
-            _store_replica(fam, world.discover_host(10 * do + i + 20), world)
+            world.note_copy(fam, world.discover_host(10 * do + i + 20), 1)
     world.sample_bin()
     return world.effectiveness_series[-1]
 
@@ -162,6 +163,38 @@ class TestTimeseriesCsv:
         assert documented == CSV_HEADER.split(",")
 
 
+    def test_boundary_bin_is_growth(self, tmp_path):
+        # The ledger counts the event that connected the last DO as growth,
+        # and this run's boundary falls on a bin time.
+        result = run(SimConfig(n_max=20, h_max=40, seed=1, bin_size=10))
+        assert result.phase_boundary_t == 290
+        path = tmp_path / "ts.csv"
+        emit_timeseries_csv(result, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        growth = [row for row in rows if row[1] == "growth"]
+        assert growth[-1][0] == "290"
+        assert int(growth[-1][3]) == result.ledger.growth_total == 540
+
+
+def write_report(_result, path):
+    with atomic_write(path) as fh:
+        fh.write("{}\n")
+
+
+@pytest.mark.parametrize("write", [
+    emit_timeseries_csv,
+    emit_summary_json,
+    lambda result, path: emit_snapshot_svg(result, 1, path),
+    lambda result, path: result.graph.write_edge_list(path),
+    write_report,
+], ids=["csv", "json", "svg", "edges", "report"])
+def test_write_error_names_the_file(small_run, tmp_path, write):
+    path = tmp_path / "missing" / "out"
+    with pytest.raises(OSError) as info:
+        write(small_run, path)
+    assert str(info.value) == f"writing {path}: No such file or directory"
+
+
 class TestSummaryJson:
     def test_fields_and_condition(self, small_run, tmp_path):
         path = tmp_path / "s.json"
@@ -202,7 +235,7 @@ class TestSummaryJson:
         fams = result.families
         counts = [0, 0, 0, 0]
         for f in fams.values():
-            counts[status_value(f.copy_count, f.r_min, f.r_max) - 1] += 1
+            counts[status_of(f.copy_count, f.r_min, f.r_max).value - 1] += 1
         n = len(fams)
         summ = summary_dict(result)
         assert summ["status_fractions"] == {

@@ -76,13 +76,7 @@ class TestRunBasics:
 class TestConservation:
     @pytest.mark.parametrize("policy", list(PolicyKind))
     def test_slots_equal_copies_and_messages_balance(self, policy):
-        checks = []
-
-        def hook(world, event):
-            checks.append(world.copies_total == world.slots_used_total)
-
-        result = run(SimConfig(n_max=50, h_max=100, seed=6, policy=policy), hook)
-        assert all(checks)
+        result = run(SimConfig(n_max=50, h_max=100, seed=6, policy=policy))
         counts = result.ledger.kind_counts
         assert sum(counts.values()) == result.ledger.total
         n = {kind.name: counts.get(kind, 0) for kind in MessageKind}
@@ -91,7 +85,7 @@ class TestConservation:
         assert n["COPY_REQUEST"] == n["COPY_ACK"] + n["COPY_DENY"]
         copies = sum(f.copy_count for f in result.families.values())
         slots = sum(h.used for h in result.hosts.values())
-        assert copies == slots
+        assert copies == slots == result.placements - result.sacrifices
 
     def test_family_invariants_at_end(self):
         result = run(SimConfig(n_max=80, h_max=160, seed=9, policy=PolicyKind.MOST))
@@ -135,7 +129,6 @@ class TestSteadyState:
     def test_available_donor_blocks_steady_state(self):
         # Three isolated families; the needy one knows a full host whose
         # resident sits above its r_min, so a sacrifice is still possible.
-        from uswsim.preservation import _store_replica
         cfg = SimConfig(n_max=3, h_max=10, host_capacity=1, r_min=2, r_max=3)
         world = World(cfg)
         for do, home in ((1, 1), (2, 2), (3, 3)):
@@ -148,7 +141,7 @@ class TestSteadyState:
             world.connected_order.append(do)
         donor = world.families[1]
         for h in (4, 5, 6):
-            _store_replica(donor, world.discover_host(h), world)
+            world.note_copy(donor, world.discover_host(h), 1)
         needy = world.families[2]
         needy.known_hosts.add(4)
         assert world.family_has_opening(needy)

@@ -12,7 +12,6 @@ from uswsim.model import (
     classify_condition,
     host_band,
     status_of,
-    status_value,
 )
 
 
@@ -34,7 +33,7 @@ class TestStatusOf:
         assert status_of(1, 1, 1) is PreservationStatus.AT_MAX
 
     def test_numeric_values_are_1_to_4(self):
-        assert [s.numeric for s in PreservationStatus] == [1, 2, 3, 4]
+        assert [s.value for s in PreservationStatus] == [1, 2, 3, 4]
 
     def test_rejects_count_past_r_max(self):
         with pytest.raises(ValueError):
@@ -52,7 +51,7 @@ class TestStatusOf:
         # Increasing c never moves the status to a lower band.
         for r_min in range(1, 13):
             for r_max in range(r_min, 13):
-                values = [status_value(c, r_min, r_max) for c in range(r_max + 1)]
+                values = [status_of(c, r_min, r_max).value for c in range(r_max + 1)]
                 assert values == sorted(values)
 
 

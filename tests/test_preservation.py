@@ -30,9 +30,7 @@ def add_family(world, do, home, copies=(), r_min=None, r_max=None, connect=True)
     world.graph.add_node(do)
     world.status_counts[0] += 1
     for h in copies:
-        target = world.discover_host(h)
-        from uswsim.preservation import _store_replica
-        _store_replica(fam, target, world)
+        world.note_copy(fam, world.discover_host(h), 1)
     return fam
 
 
