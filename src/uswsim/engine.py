@@ -188,6 +188,11 @@ class World:
             self.host_band_counts["white"] += 1
         return host
 
+    def register_family(self, fam: Family):
+        """Add a family that holds no copy yet, tallied under status 0."""
+        self.families[fam.do_id] = fam
+        self.status_counts[0] += 1
+
     def introduce_do(self) -> tuple[int, WanderState]:
         do = len(self.families) + 1
         if do > self.config.n_max:
@@ -195,8 +200,7 @@ class World:
         home = self.rng.randrange(1, self.config.h_max + 1)
         self.discover_host(home)
         fam = Family(do, home, self.config.r_min, self.config.r_max, self.t)
-        self.families[do] = fam
-        self.status_counts[0] += 1
+        self.register_family(fam)
         state = start_wander(do, self.graph, self.connected_order, self.rng)
         if state.connected:
             self._connect(fam, state)

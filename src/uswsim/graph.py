@@ -11,6 +11,7 @@ candidate links are what give the graph its high clustering.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from random import Random
 from typing import TYPE_CHECKING
 
@@ -19,9 +20,14 @@ from .fileio import atomic_write
 if TYPE_CHECKING:
     import numpy as np
 
-# Sources per bit-parallel BFS sweep in avg_path_length: 8 uint64 words per
-# node, so the neighbour gather holds 2 * edges * 64 bytes at most.
+# Sources per bit-parallel BFS sweep in avg_path_length: at most 8 uint64
+# words, 64 bytes, per node.  A sweep's words must number 1, 2, 4 or 8, so
+# this may not exceed 512.
 BFS_BLOCK = 512
+
+# Neighbour entries per gather in avg_path_length (a node with more is
+# gathered whole): 8192 reach sets of BFS_BLOCK bits each are 512 KiB.
+GATHER_BLOCK = 8192
 
 # Edges per chunk in clustering_coefficient: two gathered bitset rows of
 # ceil(nodes / 64) uint64 words each per edge, 256 KiB each at 2000 nodes.
@@ -247,9 +253,16 @@ def avg_path_length(graph: FriendshipGraph) -> tuple[float, bool]:
 
     Exact all-pairs breadth-first search, run bit-parallel: each sweep
     carries BFS_BLOCK sources at once as one bit per source in every
-    node's uint64 reach set.  On a disconnected graph the mean is taken
-    over the largest component (on a tie, the one holding the smallest
-    node id) and the returned flag is True.
+    node's uint64 reach set.  Depth 1 is read straight from the CSR rows
+    of the block's sources.  Each deeper level ORs the last level's reach
+    sets over the neighbours of the *open* rows only, the rows some source
+    of the block has not reached yet: a row every source has reached
+    cannot gain a bit.  When the open rows hold more than half the
+    neighbour entries, every row is gathered instead, which is cheaper
+    than listing the open rows' entries.  A sweep ends when no row is
+    open.  On a disconnected graph the mean is taken over the largest
+    component (on a tie, the one holding the smallest node id) and the
+    returned flag is True.
     """
     import numpy as np
 
@@ -263,45 +276,108 @@ def avg_path_length(graph: FriendshipGraph) -> tuple[float, bool]:
         return 0.0, disconnected
 
     degrees, indices = _csr(graph, comp)
-    starts = np.zeros(m, dtype=np.int64)
-    np.cumsum(degrees[:-1], out=starts[1:])
+    ends = np.cumsum(degrees)
+    starts = ends - degrees
+    # Source b of a block owns bit b % 64 of word b // 64.
+    bits = np.arange(BFS_BLOCK)
+    word = bits // 64
+    bit = np.uint64(1) << (bits % 64).astype(np.uint64)
 
     total = 0
     for first in range(0, m, BFS_BLOCK):
         size = min(BFS_BLOCK, m - first)
-        words = (size + 63) // 64
+        # 1, 2, 4 or 8 words, as _open_rows needs.
+        words = 1 << ((size - 1) // 64).bit_length()
+        own = np.zeros((size, words), dtype=np.uint64)
+        own[bits[:size], word[:size]] = bit[:size]
+        # A set bit of unseen is a (row, source) pair not reached yet.
+        unseen = np.empty((m, words), dtype=np.uint64)
+        unseen[:] = np.bitwise_or.reduce(own, axis=0)
+        unseen[first:first + size] ^= own
+
+        # Depth 1: each neighbour of a block source gets that source's bit.
+        # The graph is simple, so every entry is a distinct pair one hop
+        # apart, and the block's degree sum counts them.
+        lo, hi = starts[first], ends[first + size - 1]
+        src = np.repeat(bits[:size], degrees[first:first + size])
         frontier = np.zeros((m, words), dtype=np.uint64)
-        bits = np.arange(size)
-        frontier[first + bits, bits // 64] = np.uint64(1) << (bits % 64).astype(np.uint64)
-        seen = frontier.copy()
-        depth = 0
-        while True:
+        np.bitwise_or.at(frontier, (indices[lo:hi], word[src]), bit[src])
+        unseen ^= frontier
+        total += int(hi - lo)
+        rows = _open_rows(unseen)
+
+        depth = 1
+        while len(rows):
             depth += 1
-            # Every row is non-empty (the component is connected and has
-            # two or more nodes), which reduceat needs to OR each row.
-            frontier = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
-            frontier &= ~seen
-            reached = int(np.bitwise_count(frontier).sum())
-            if reached == 0:
-                break
-            total += depth * reached
-            seen |= frontier
+            row_degrees = degrees[rows]
+            if 2 * int(row_degrees.sum()) > len(indices):
+                step = _gather_or(frontier, indices, starts)
+                step &= unseen
+                unseen ^= step
+                rows = _open_rows(unseen)
+                frontier = step
+            else:
+                offsets = np.cumsum(row_degrees) - row_degrees
+                entries = np.repeat(starts[rows] - offsets, row_degrees)
+                entries += np.arange(len(entries))
+                step = _gather_or(frontier, indices.take(entries), offsets)
+                open_unseen = unseen.take(rows, axis=0)
+                step &= open_unseen
+                open_unseen ^= step
+                unseen[rows] = open_unseen
+                frontier = np.zeros_like(unseen)
+                frontier[rows] = step
+                rows = rows[_open_rows(open_unseen)]
+            total += depth * int(np.bitwise_count(step).sum())
     # Each unordered pair was counted twice.
     pairs = m * (m - 1) / 2
     return total / 2.0 / pairs, disconnected
 
 
+def _open_rows(unseen: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``unseen`` that have a set bit.  A row's
+    nonzero flags are read as one unsigned integer of as many bytes as
+    the row has words, so there must be 1, 2, 4 or 8."""
+    import numpy as np
+
+    return np.flatnonzero((unseen != 0).view(f"u{unseen.shape[1]}"))
+
+
+def _gather_or(frontier: np.ndarray, neighbours: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Row i ORs the ``frontier`` rows listed in ``neighbours[offsets[i]:
+    offsets[i + 1]]``; every such run is non-empty, as reduceat needs.
+    Whole runs are gathered in chunks of about GATHER_BLOCK entries."""
+    import numpy as np
+
+    if len(neighbours) <= GATHER_BLOCK:
+        return np.bitwise_or.reduceat(frontier.take(neighbours, axis=0), offsets, axis=0)
+    out = np.empty((len(offsets), frontier.shape[1]), dtype=np.uint64)
+    cuts = np.searchsorted(offsets, np.arange(0, len(neighbours), GATHER_BLOCK)).tolist()
+    cuts.append(len(offsets))
+    for a, b in zip(cuts, cuts[1:]):
+        if a == b:
+            continue
+        lo = offsets[a]
+        hi = offsets[b] if b < len(offsets) else len(neighbours)
+        out[a:b] = np.bitwise_or.reduceat(frontier.take(neighbours[lo:hi], axis=0),
+                                          offsets[a:b] - lo, axis=0)
+    return out
+
+
 def _csr(graph: FriendshipGraph, nodes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Adjacency of ``nodes`` in compressed sparse rows: node ``nodes[i]``
     is row i, and its neighbours' rows fill ``degrees[i]`` consecutive
-    entries of the flat index array, rows in order.  Every neighbour must
-    itself be in ``nodes``."""
+    entries of the flat index array, rows in order.  The neighbour ids are
+    read and turned into rows in one C-level pass, with no Python frame
+    per entry.  Every neighbour must itself be in ``nodes``; one that is
+    not raises KeyError."""
     import numpy as np
 
-    index = {u: i for i, u in enumerate(nodes)}
-    degrees = np.fromiter((len(graph.adj[u]) for u in nodes), dtype=np.int64,
-                          count=len(nodes))
-    indices = np.fromiter((index[v] for u in nodes for v in graph.adj[u]),
+    n = len(nodes)
+    neighbour_sets = list(map(graph.adj.__getitem__, nodes))
+    degrees = np.fromiter(map(len, neighbour_sets), dtype=np.int64, count=n)
+    row = dict(zip(nodes, range(n)))
+    indices = np.fromiter(map(row.__getitem__, chain.from_iterable(neighbour_sets)),
                           dtype=np.intp, count=int(degrees.sum()))
     return degrees, indices
 
@@ -309,6 +385,7 @@ def _csr(graph: FriendshipGraph, nodes: list[int]) -> tuple[np.ndarray, np.ndarr
 def _largest_component(graph: FriendshipGraph) -> list[int]:
     """Sorted nodes of the largest component, the first one found on a tie
     when components are visited from their smallest node up."""
+    adj = graph.adj
     best: list[int] = []
     seen: set[int] = set()
     for root in graph.nodes():
@@ -317,10 +394,9 @@ def _largest_component(graph: FriendshipGraph) -> list[int]:
         seen.add(root)
         members = [root]
         for u in members:
-            for v in graph.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    members.append(v)
+            new = adj[u] - seen
+            seen |= new
+            members += new
         if len(members) > len(best):
             best = members
     return sorted(best)

@@ -26,8 +26,7 @@ def effectiveness_of(copy_counts, r_min=3, r_max=5):
     world = World(SimConfig(n_max=len(copy_counts), h_max=100, r_min=r_min, r_max=r_max))
     for do, count in enumerate(copy_counts, 1):
         fam = Family(do, world.discover_host(do).host_id, r_min, r_max, 0)
-        world.families[do] = fam
-        world.status_counts[0] += 1
+        world.register_family(fam)
         for i in range(count):
             world.note_copy(fam, world.discover_host(10 * do + i + 20), 1)
     world.sample_bin()

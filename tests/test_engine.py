@@ -135,9 +135,8 @@ class TestSteadyState:
             world.discover_host(home)
             fam = Family(do, home, cfg.r_min, cfg.r_max, 0)
             fam.connected = True
-            world.families[do] = fam
+            world.register_family(fam)
             world.graph.add_node(do)
-            world.status_counts[0] += 1
             world.connected_order.append(do)
         donor = world.families[1]
         for h in (4, 5, 6):

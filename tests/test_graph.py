@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from uswsim.graph import (
+    BFS_BLOCK,
     FriendshipGraph,
     WanderState,
     avg_path_length,
@@ -15,6 +16,8 @@ from uswsim.graph import (
     start_wander,
     uniform_random_graph,
     wander_step,
+    _csr,
+    _largest_component,
 )
 
 
@@ -306,7 +309,15 @@ class TestAvgPathLength:
     def test_matches_bfs_oracle_on_random_graph(self):
         # Connected graphs on both sides of the 64-bit word boundaries of
         # the source bitsets, then disconnected ones: a 64-node largest
-        # component, isolated nodes, and two tied components.
+        # component, isolated nodes, and two tied components.  The last six
+        # have largest components of more than BFS_BLOCK nodes, so their
+        # sweeps carry a full block and then a partial one.  Every graph
+        # gathers all rows while most neighbour entries are open, and the
+        # trees do so for the most levels.
+        grown = grow_graph(600, 0.5, 0.05, seed=4)
+        order = list(grown.adj)
+        Random(9).shuffle(order)
+        tree = grow_graph(540, 1.0, 0.0, seed=6)
         cases = {
             "n30": uniform_random_graph(30, 60, Random(5)),
             "n63": uniform_random_graph(63, 252, Random(1)),
@@ -317,7 +328,18 @@ class TestAvgPathLength:
             "n65-sparse": uniform_random_graph(65, 150, Random(3)),
             "isolated-nodes": graph_of([(1, 2), (2, 3), (3, 4), (7, 8)], nodes=range(1, 12)),
             "tied-components": graph_of([(1, 2), (2, 3), (4, 5), (5, 6), (4, 6)]),
+            "random-600": uniform_random_graph(600, 1800, Random(6)),
+            "grown-700": grow_graph(700, seed=7),
+            "tree-600": grow_graph(600, 1.0, 0.0, seed=8),
+            # Ids 3k + 1 and ids 1000 apart, in shuffled order.
+            "sparse-ids": relabel(grown, {u: 3 * u + 1 for u in order}),
+            "very-sparse-ids": relabel(grown, {u: 1000 * u for u in order}),
+            "tree-and-pieces": graph_of(
+                tree.edges() + [(1001, 1002), (1002, 1003), (1004, 1005)],
+                nodes=[2000, *tree.adj]),
         }
+        for name in list(cases)[-6:]:
+            assert len(_largest_component(cases[name])) > BFS_BLOCK, name
         for name, graph in cases.items():
             assert avg_path_length(graph) == bfs_oracle(graph), name
 
@@ -327,6 +349,33 @@ class TestAvgPathLength:
     ])
     def test_grown_graph_value_pinned(self, n, seed, expected):
         assert avg_path_length(grow_graph(n, seed=seed)) == (expected, False)
+
+
+def relabel(g, ids):
+    """A copy of g with node u renamed ids[u], nodes added in ids' order."""
+    return graph_of([(ids[u], ids[v]) for u, v in g.edges()], nodes=ids.values())
+
+
+class TestCsr:
+    @pytest.mark.parametrize("ids", [
+        {u: u for u in range(1, 301)},
+        {u: 3 * ((u * 37) % 300) + 2 for u in range(1, 301)},
+        {u: -1000 * ((u * 37) % 300) for u in range(1, 301)},
+    ], ids=["contiguous", "dense-shuffled", "sparse-negative"])
+    def test_matches_dict_lookup(self, ids):
+        g = relabel(grow_graph(300, seed=3), ids)
+        nodes = list(g.adj)
+        degrees, indices = _csr(g, nodes)
+        row = {u: i for i, u in enumerate(nodes)}
+        assert degrees.tolist() == [len(g.adj[u]) for u in nodes]
+        assert indices.tolist() == [row[v] for u in nodes for v in g.adj[u]]
+
+    @pytest.mark.parametrize("outside", [5, 0, 99, -3])
+    def test_neighbour_outside_nodes_raises(self, outside):
+        # 5 lies between the nodes' ids, 0, 99 and -3 beyond them.
+        g = graph_of([(2, 4), (4, 6), (6, 8), (8, outside)])
+        with pytest.raises(KeyError):
+            _csr(g, [2, 4, 6, 8])
 
 
 def bfs_oracle(g):

@@ -1,16 +1,21 @@
-"""Exact outputs that follow from the model's rules alone.
+"""Outputs that follow from the model's rules alone.
 
-Each test sets parameters at which one rule pins a count or makes two
-configurations indistinguishable, and checks the engine's outputs against
-that, independently of any recorded figure.
+Each test sets parameters at which one rule pins a count, makes two
+configurations indistinguishable, or reduces the process to one with a
+known expectation, and checks the outputs against that, independently of
+any recorded figure.
 """
 
+import math
+import statistics
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from uswsim.analysis import summary_dict
 from uswsim.engine import run
+from uswsim.graph import avg_path_length, grow_graph
 from uswsim.model import MessageKind, PolicyKind, SimConfig
 
 COPY_KINDS = (MessageKind.COPY_REQUEST, MessageKind.COPY_ACK, MessageKind.COPY_DENY,
@@ -70,3 +75,24 @@ def test_policies_agree_when_r_max_is_one(seed):
     assert least[1]
     for policy in (PolicyKind.MODERATE, PolicyKind.MOST):
         assert outputs(replace(base, policy=policy)) == least
+
+
+def test_uniform_attachment_tree_has_the_expected_mean_path_length():
+    # At link probability 1 and no extra links each newcomer links to the
+    # node it enters at, drawn uniformly, so grow_graph grows a random
+    # recursive tree.  Joining node u adds u's distance sum plus one per
+    # node, and u's mean distance sum is 2 W / k, so the total distance W
+    # over pairs obeys E[W(k + 1)] = (1 + 2 / k) E[W(k)] + k (Moon 1974).
+    n = 500
+    total = Fraction(0)
+    for k in range(1, n):
+        total = (1 + Fraction(2, k)) * total + k
+    exact = float(total / (n * (n - 1) // 2))
+    assert round(exact, 4) == 9.6321
+    lengths = []
+    for seed in range(1, 201):
+        length, disconnected = avg_path_length(grow_graph(n, 1.0, 0.0, seed=seed))
+        assert not disconnected
+        lengths.append(length)
+    standard_error = statistics.stdev(lengths) / math.sqrt(len(lengths))
+    assert abs(statistics.fmean(lengths) - exact) < 4 * standard_error

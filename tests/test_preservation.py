@@ -26,9 +26,8 @@ def add_family(world, do, home, copies=(), r_min=None, r_max=None, connect=True)
     world.discover_host(home)
     fam = Family(do, home, r_min or world.config.r_min, r_max or world.config.r_max, 0)
     fam.connected = connect
-    world.families[do] = fam
+    world.register_family(fam)
     world.graph.add_node(do)
-    world.status_counts[0] += 1
     for h in copies:
         world.note_copy(fam, world.discover_host(h), 1)
     return fam
