@@ -193,7 +193,7 @@ class World:
         self.families[fam.do_id] = fam
         self.status_counts[0] += 1
 
-    def introduce_do(self) -> tuple[int, WanderState]:
+    def introduce_do(self):
         do = len(self.families) + 1
         if do > self.config.n_max:
             raise RuntimeError("introduction past n_max")
@@ -207,7 +207,6 @@ class World:
         else:
             self.wanderers[do] = state
             self.queue.append(("wander", do))
-        return do, state
 
     def _connect(self, fam: Family, state: WanderState):
         fam.connected = True

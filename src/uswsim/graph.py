@@ -68,9 +68,6 @@ class FriendshipGraph:
     def neighbors(self, u: int) -> set[int]:
         return self.adj[u]
 
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
-
     def nodes(self) -> list[int]:
         return sorted(self.adj)
 
@@ -83,12 +80,8 @@ class FriendshipGraph:
 
     def write_edge_list(self, path):
         """One ascending "u v" pair per line, suitable for external tools."""
-        adj = self.adj
-        lines = []
-        for u in sorted(adj):
-            lines += [f"{u} {v}\n" for v in sorted(adj[u]) if u < v]
         with atomic_write(path) as fh:
-            fh.write("".join(lines))
+            fh.write("".join(f"{u} {v}\n" for u, v in self.edges()))
 
 
 class WanderState:
@@ -349,8 +342,6 @@ def _gather_or(frontier: np.ndarray, neighbours: np.ndarray, offsets: np.ndarray
     Whole runs are gathered in chunks of about GATHER_BLOCK entries."""
     import numpy as np
 
-    if len(neighbours) <= GATHER_BLOCK:
-        return np.bitwise_or.reduceat(frontier.take(neighbours, axis=0), offsets, axis=0)
     out = np.empty((len(offsets), frontier.shape[1]), dtype=np.uint64)
     cuts = np.searchsorted(offsets, np.arange(0, len(neighbours), GATHER_BLOCK)).tolist()
     cuts.append(len(offsets))

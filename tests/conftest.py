@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-import ledger_views
 import uswsim
 
 SRC = str(Path(uswsim.__file__).resolve().parent.parent)
@@ -17,9 +16,3 @@ def subprocesses_import_this_uswsim():
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         yield
 
-
-@pytest.fixture
-def recorder():
-    """A ``MessageRecorder`` that keeps every message sent during the test."""
-    with ledger_views.MessageRecorder() as recording:
-        yield recording

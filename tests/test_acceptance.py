@@ -16,8 +16,17 @@ from random import Random
 import pytest
 
 import ledger_views
+from audit import (
+    Instrumentation,
+    audit,
+    pairing_violations,
+    recording_violations,
+    run_instrumented,
+    sacrifice_violations,
+)
+from ledger_views import RecordingWorld
 from uswsim.cli import sweep_sizes
-from uswsim.engine import World, run
+from uswsim.engine import run
 from uswsim.graph import (
     avg_path_length,
     clustering_coefficient,
@@ -39,142 +48,10 @@ def verdict(name, ok, detail):
     return ok
 
 
-class Instrumentation:
-    """Per-event invariant monitor.
-
-    Cheap aggregate checks run after every event, and each event's slice of
-    the copy trail is checked against the sacrifice rules
-    (``sacrifice_violations``); a structural audit runs every 200 events and
-    at each run end, where the run's recorded message rows are also checked
-    against its ledger.
-    """
-
-    AUDIT_EVERY = 200
-
-    def __init__(self):
-        self.events = 0
-        self.violations = []
-
-    def after_event(self, world, moves):
-        """Check ``world`` after one event whose copy moves were ``moves``."""
-        self.events += 1
-        if moves:
-            self.violations += sacrifice_violations(world.families, moves)
-        if self.events % self.AUDIT_EVERY == 0:
-            self.audit(world)
-
-    def audit(self, world):
-        # Every believed free-slot count is one a host reported after a
-        # request, so it stays below the capacity (0 when that is 0).
-        # candidate_hosts ranks by that premise.
-        believed_top = max(world.config.host_capacity, 1)
-        copies_sum = 0
-        for do, fam in world.families.items():
-            if fam.copy_count > fam.r_max:
-                self.violations.append(f"family {do} above r_max")
-            if fam.believed_free and max(fam.believed_free.values()) >= believed_top:
-                self.violations.append(
-                    f"family {do} believes a host has {max(fam.believed_free.values())} "
-                    f"free slots of {world.config.host_capacity}")
-            if fam.home_host in fam.copies:
-                self.violations.append(f"family {do} copied onto its own host")
-            copies_sum += fam.copy_count
-            for host_id in fam.copies:
-                if do not in world.hosts[host_id].foreign:
-                    self.violations.append(f"family {do} and host {host_id} disagree")
-        used_sum = 0
-        for host in world.hosts.values():
-            if host.used > host.capacity:
-                self.violations.append(f"host {host.host_id} above capacity")
-            used_sum += host.used
-        if copies_sum != used_sum or copies_sum != world.placements - world.sacrifices:
-            self.violations.append("copy/slot sums diverged")
-        self.violations += pairing_violations(world.ledger, world.graph.edge_count,
-                                              world.placements, world.denials, world.sacrifices)
-
-    def audit_result(self, result, recorder):
-        self.violations += pairing_violations(result.ledger, result.graph.edge_count,
-                                              result.placements, result.denials,
-                                              result.sacrifices, recorder)
-        copies = sum(f.copy_count for f in result.families.values())
-        slots = sum(h.used for h in result.hosts.values())
-        if copies != slots:
-            self.violations.append("final slot conservation broke")
-
-
-def run_instrumented(config, monitor):
-    """The finished run and the ``MessageRecorder`` that saw its messages."""
-    world = World(config)
-    seen = 0
-    with ledger_views.MessageRecorder() as recorder:
-        for _ in world.events():
-            trail = world.copy_events
-            monitor.after_event(world, trail[seen:])
-            seen = len(trail)
-    monitor.audit_result(world, recorder)
-    return world, recorder
-
-
-def sacrifice_violations(families, moves):
-    """Copy moves of one event (its slice of ``World.copy_events``) that break
-    the sacrifice rules, given ``families`` as the event left them.  A copy
-    leaves a host only in a sacrifice: the next move stores another family's
-    copy on that host, the donor keeps at least its r_min and one copy, and
-    the beneficiary was below its r_min."""
-    held = {}
-    for _, do, _, delta in moves:  # wind each family back to its count before the event
-        held[do] = held.get(do, families[do].copy_count) - delta
-    found = []
-    for i, (t, do, host, delta) in enumerate(moves):
-        held[do] += delta
-        if delta > 0:
-            continue
-        taker = moves[i + 1][1] if i + 1 < len(moves) else None
-        if taker is None or moves[i + 1][2:] != (host, 1) or taker == do:
-            found.append(f"family {do} lost its copy on host {host} at t={t} "
-                         f"and no other family's copy took the slot")
-            continue
-        if held[do] < max(families[do].r_min, 1):
-            found.append(f"donor {do} left with {held[do]} copies at t={t}")
-        if held[taker] >= families[taker].r_min:
-            found.append(f"beneficiary {taker} held {held[taker]} copies, "
-                         f"not below its r_min, at t={t}")
-    return found
-
-
-def pairing_violations(ledger, edges, placements, denials, sacrifices, recorder=None):
-    """Protocol pairings that hold between events: each request has its answer,
-    each link its two messages, each copy move its message.  Given the
-    ``recorder`` that kept the run's messages, also check that it saw each
-    counted message once: its rows per kind match the ledger's counts."""
-    counts = ledger.kind_counts
-    n = {kind: counts.get(kind, 0) for kind in MessageKind}
-    K = MessageKind
-    checks = (
-        (n[K.CONTACT] == n[K.CONTACT_REPLY],
-         f"contact {n[K.CONTACT]} != contact_reply {n[K.CONTACT_REPLY]}"),
-        (n[K.LINK_REQUEST] == n[K.LINK_ACK] == edges,
-         f"link_request {n[K.LINK_REQUEST]} / link_ack {n[K.LINK_ACK]} / edges {edges}"),
-        (n[K.COPY_REQUEST] == n[K.COPY_ACK] + n[K.COPY_DENY],
-         f"copy_request {n[K.COPY_REQUEST]} != copy_ack {n[K.COPY_ACK]} "
-         f"+ copy_deny {n[K.COPY_DENY]}"),
-        (n[K.COPY_ACK] == placements, f"copy_ack {n[K.COPY_ACK]} != placements {placements}"),
-        (n[K.COPY_DENY] == denials, f"copy_deny {n[K.COPY_DENY]} != denials {denials}"),
-        (n[K.SACRIFICE_DIRECTIVE] == sacrifices,
-         f"sacrifice_directive {n[K.SACRIFICE_DIRECTIVE]} != sacrifices {sacrifices}"),
-    )
-    if recorder is not None:
-        recorded = recorder.kind_counts()
-        off = {k.value: (recorded.get(k, 0), n[k])
-               for k in MessageKind if recorded.get(k, 0) != n[k]}
-        checks += ((recorded == counts, f"recorded rows and ledger counts differ by kind {off}"),)
-    return [f"message pairing broke: {what}" for ok, what in checks if not ok]
-
-
-def summarize(result, recorder):
+def summarize(result):
     fams = result.families
     n = len(fams)
-    sent_bins = ledger_views.do_sent_bins(recorder, result.config.bin_size)
+    sent_bins = ledger_views.do_sent_bins(result, result.config.bin_size)
     return {
         "steady_t": result.steady_state_t if result.steady_state_t is not None
         else result.final_t,
@@ -197,7 +74,7 @@ def reference_batch():
         rows = []
         for seed in SEEDS:
             cfg = SimConfig(policy=policy, seed=seed, **PAPER)
-            rows.append(summarize(*run_instrumented(cfg, monitor)))
+            rows.append(summarize(run_instrumented(cfg, monitor)))
         stats[policy] = rows
     elapsed = time.time() - t0
     return {"stats": stats, "monitor": monitor, "elapsed": elapsed}
@@ -427,55 +304,56 @@ def test_criterion_9_byte_identical_outputs(tmp_path):
     assert ok
 
 
-def test_pairing_audit_flags_unbalanced_ledgers(recorder):
-    world = World(SimConfig(n_max=2, h_max=4))
-    assert pairing_violations(world.ledger, 0, 0, 0, 0, recorder) == []
+def test_pairing_audit_flags_unbalanced_ledgers():
+    world = RecordingWorld(SimConfig(n_max=2, h_max=4))
+    assert pairing_violations(world) == recording_violations(world) == []
     world.send(MessageKind.CONTACT, 1, 2)
     world.send(MessageKind.LINK_REQUEST, 1, 2)
     world.send(MessageKind.LINK_ACK, 2, 1)
     world.send(MessageKind.COPY_REQUEST, 1, 3)
     world.send(MessageKind.COPY_ACK, 3, 1)
     world.send(MessageKind.SACRIFICE_DIRECTIVE, 3, 2)
-    found = pairing_violations(world.ledger, 1, 0, 1, 0, recorder)
+    world.graph.add_edge(1, 2)
+    world.denials = 1
+    found = pairing_violations(world)
     assert [v.split(": ")[1].split()[0] for v in found] == [
         "contact", "copy_ack", "copy_deny", "sacrifice_directive"]
-    # A recorder that missed the last message disagrees with the ledger's kinds.
-    recorder.rows.pop()
-    assert pairing_violations(world.ledger, 1, 0, 1, 0, recorder)[4:] == [
-        "message pairing broke: recorded rows and ledger counts differ by kind "
-        "{'sacrifice_directive': (0, 1)}"]
+    assert recording_violations(world) == []
+    # A world whose rows missed the last message disagrees with the ledger's kinds.
+    world.rows.pop()
+    assert recording_violations(world) == [
+        "recorded rows and ledger counts differ by kind {'sacrifice_directive': (0, 1)}"]
 
 
 @pytest.mark.parametrize("capacity", [0, 1, 5])
 def test_audit_flags_believed_count_at_capacity(capacity):
     world = run(SimConfig(n_max=30, h_max=60, seed=3, host_capacity=capacity))
-    monitor = Instrumentation()
-    monitor.audit(world)
-    assert monitor.violations == []
+    assert audit(world) == []
     fam = world.families[7]
     fam.believed_free[fam.home_host] = max(capacity, 1)
-    monitor.audit(world)
-    assert monitor.violations == [
+    assert audit(world) == [
         f"family 7 believes a host has {max(capacity, 1)} free slots of {capacity}"]
 
 
 def test_audit_flags_host_that_lost_a_copy():
     world = run(SimConfig(n_max=30, h_max=60, seed=3))
+    host_id = min(world.families[7].copies)
+    world.hosts[host_id].foreign.remove(7)
+    assert audit(world) == [f"family 7 and host {host_id} disagree", "copy/slot sums diverged"]
+
+
+def test_audit_flags_family_that_lost_a_copy():
+    world = run(SimConfig(n_max=30, h_max=60, seed=3))
     fam = world.families[7]
     host_id = min(fam.copies)
-    world.hosts[host_id].foreign.remove(7)
-    monitor = Instrumentation()
-    monitor.audit(world)
-    assert monitor.violations == [f"family 7 and host {host_id} disagree",
-                                  "copy/slot sums diverged"]
+    fam.copies.remove(host_id)
+    assert audit(world) == [f"host {host_id} and family 7 disagree", "copy/slot sums diverged"]
 
 
 def test_audit_flags_copies_off_the_placement_count():
     world = run(SimConfig(n_max=30, h_max=60, seed=3))
     world.placements += 1
-    monitor = Instrumentation()
-    monitor.audit(world)
-    assert monitor.violations == [
+    assert audit(world) == [
         "copy/slot sums diverged",
         f"message pairing broke: copy_ack {world.placements - 1} "
         f"!= placements {world.placements}"]

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from audit import add_family, make_world
 from uswsim.analysis import (
     CSV_HEADER,
     emit_snapshot_svg,
@@ -15,20 +16,16 @@ from uswsim.analysis import (
     summary_dict,
     tree_ring_layout,
 )
-from uswsim.engine import World, run
+from uswsim.engine import run
 from uswsim.fileio import atomic_write
 from uswsim.model import PolicyKind, SimConfig, status_of
-from uswsim.preservation import Family
 
 
 def effectiveness_of(copy_counts, r_min=3, r_max=5):
     """What World.sample_bin scores for families holding these copy counts."""
-    world = World(SimConfig(n_max=len(copy_counts), h_max=100, r_min=r_min, r_max=r_max))
+    world = make_world(n_max=len(copy_counts), h_max=100, r_min=r_min, r_max=r_max)
     for do, count in enumerate(copy_counts, 1):
-        fam = Family(do, world.discover_host(do).host_id, r_min, r_max, 0)
-        world.register_family(fam)
-        for i in range(count):
-            world.note_copy(fam, world.discover_host(10 * do + i + 20), 1)
+        add_family(world, do, home=do, copies=range(10 * do + 20, 10 * do + 20 + count))
     world.sample_bin()
     return world.effectiveness_series[-1]
 

@@ -4,10 +4,12 @@ import json
 import pytest
 
 import ledger_views
+from audit import add_family, audit, make_world
+from ledger_views import RecordingWorld, recorded_run
 from uswsim.analysis import emit_timeseries_csv, summary_dict
 from uswsim.engine import World, run
 from uswsim.model import MessageKind, PolicyKind, SimConfig
-from uswsim.preservation import Family, PlaceOutcome, announce_new_host, place_copy
+from uswsim.preservation import PlaceOutcome, announce_new_host, place_copy
 
 
 class TestRunBasics:
@@ -74,38 +76,20 @@ class TestRunBasics:
 
 
 class TestConservation:
-    @pytest.mark.parametrize("policy", list(PolicyKind))
-    def test_slots_equal_copies_and_messages_balance(self, policy):
-        result = run(SimConfig(n_max=50, h_max=100, seed=6, policy=policy))
-        counts = result.ledger.kind_counts
-        assert sum(counts.values()) == result.ledger.total
-        n = {kind.name: counts.get(kind, 0) for kind in MessageKind}
-        assert n["CONTACT"] == n["CONTACT_REPLY"]
-        assert n["LINK_REQUEST"] == n["LINK_ACK"] == result.graph.edge_count
-        assert n["COPY_REQUEST"] == n["COPY_ACK"] + n["COPY_DENY"]
-        copies = sum(f.copy_count for f in result.families.values())
-        slots = sum(h.used for h in result.hosts.values())
-        assert copies == slots == result.placements - result.sacrifices
+    @pytest.mark.parametrize("cfg", [
+        *(SimConfig(n_max=50, h_max=100, seed=6, policy=p) for p in PolicyKind),
+        SimConfig(n_max=80, h_max=160, seed=9, policy=PolicyKind.MOST),
+    ], ids=["least", "moderate", "most", "most-n80"])
+    def test_end_of_run_audit_is_clean(self, cfg):
+        assert audit(run(cfg)) == []
 
-    def test_family_invariants_at_end(self):
-        result = run(SimConfig(n_max=80, h_max=160, seed=9, policy=PolicyKind.MOST))
-        for fam in result.families.values():
-            assert fam.copy_count <= fam.r_max
-            assert fam.home_host not in fam.copies
-            hosts = list(fam.copies)
-            assert len(hosts) == len(set(hosts))
-        for host in result.hosts.values():
-            assert host.used <= host.capacity
-            for do in host.foreign:
-                assert host.host_id in result.families[do].copies
-
-    def test_bin_sums_match_totals(self, recorder):
-        result = run(SimConfig(n_max=50, h_max=100, seed=2))
+    def test_bin_sums_match_totals(self):
+        result = recorded_run(SimConfig(n_max=50, h_max=100, seed=2))
         ledger = result.ledger
         bin_size = result.config.bin_size
-        assert sum(ledger_views.sys_sent_bins(recorder, bin_size).values()) == ledger.total
-        do_sent = ledger_views.do_sent(recorder)
-        for do, bins in ledger_views.do_sent_bins(recorder, bin_size).items():
+        assert sum(ledger_views.sys_sent_bins(result, bin_size).values()) == ledger.total
+        do_sent = ledger_views.do_sent(result)
+        for do, bins in ledger_views.do_sent_bins(result, bin_size).items():
             assert sum(bins.values()) == do_sent[do]
         assert 0 < ledger.growth_messages <= ledger.total
 
@@ -129,18 +113,10 @@ class TestSteadyState:
     def test_available_donor_blocks_steady_state(self):
         # Three isolated families; the needy one knows a full host whose
         # resident sits above its r_min, so a sacrifice is still possible.
-        cfg = SimConfig(n_max=3, h_max=10, host_capacity=1, r_min=2, r_max=3)
-        world = World(cfg)
-        for do, home in ((1, 1), (2, 2), (3, 3)):
-            world.discover_host(home)
-            fam = Family(do, home, cfg.r_min, cfg.r_max, 0)
-            fam.connected = True
-            world.register_family(fam)
-            world.graph.add_node(do)
-            world.connected_order.append(do)
-        donor = world.families[1]
-        for h in (4, 5, 6):
-            world.note_copy(donor, world.discover_host(h), 1)
+        world = make_world(n_max=3, h_max=10, host_capacity=1, r_min=2, r_max=3)
+        add_family(world, 1, home=1, copies=(4, 5, 6))
+        add_family(world, 2, home=2)
+        add_family(world, 3, home=3)
         needy = world.families[2]
         needy.known_hosts.add(4)
         assert world.family_has_opening(needy)
@@ -205,33 +181,33 @@ class TestPhases:
 
 
 class TestMessageLedger:
-    def test_bin_index_by_floor_division(self, recorder):
-        world = World(SimConfig(n_max=2, h_max=2, bin_size=100))
+    def test_bin_index_by_floor_division(self):
+        world = RecordingWorld(SimConfig(n_max=2, h_max=2, bin_size=100))
         world.t = 250
         world.send(MessageKind.CONTACT, 1, 2)
-        assert recorder.rows == [(MessageKind.CONTACT, 250, 1, 2)]
-        views = ledger_views.views(recorder, world.config.bin_size)
+        assert world.rows == [(MessageKind.CONTACT, 250, 1, 2)]
+        views = ledger_views.views(world, world.config.bin_size)
         assert views["do_sent_bins"] == {1: {2: 1}}
         assert views["do_received_bins"] == {2: {2: 1}}
         assert views["sys_sent_bins"] == views["sys_received_bins"] == {2: 1}
 
-    def test_each_message_counts_once_sent_once_received(self, recorder):
-        world = World(SimConfig(n_max=2, h_max=2, bin_size=100))
+    def test_each_message_counts_once_sent_once_received(self):
+        world = RecordingWorld(SimConfig(n_max=2, h_max=2, bin_size=100))
         for t in range(7):
             world.t = t
             world.send(MessageKind.CONTACT, 1, 2)
         ledger = world.ledger
-        assert ledger.total == len(recorder.rows) == 7
-        assert ledger_views.do_sent(recorder) == {1: 7}
-        assert ledger_views.do_received(recorder) == {2: 7}
-        assert ledger.kind_counts == recorder.kind_counts() == {MessageKind.CONTACT: 7}
+        assert ledger.total == len(world.rows) == 7
+        assert ledger_views.do_sent(world) == {1: 7}
+        assert ledger_views.do_received(world) == {2: 7}
+        assert ledger.kind_counts == ledger_views.kind_counts(world) == {MessageKind.CONTACT: 7}
 
-    def test_host_endpoints_tracked_separately(self, recorder):
-        world = World(SimConfig(n_max=2, h_max=10))
+    def test_host_endpoints_tracked_separately(self):
+        world = RecordingWorld(SimConfig(n_max=2, h_max=10))
         world.t = 10
         world.send(MessageKind.COPY_REQUEST, 1, 9)
         world.send(MessageKind.COPY_ACK, 9, 1)
-        views = ledger_views.views(recorder, world.config.bin_size)
+        views = ledger_views.views(world, world.config.bin_size)
         assert views["do_sent"] == {1: 1}
         assert views["host_received"] == {9: 1}
         assert views["host_sent"] == {9: 1}
@@ -248,41 +224,37 @@ class TestBulkSends:
     @pytest.mark.parametrize("fan_in", [False, True])
     def test_matches_single_sends(self, kind, one, fan_in):
         many = [7, 3, 11, 5]
-        bulk = World(SimConfig(n_max=2, h_max=2, bin_size=100))
-        single = World(SimConfig(n_max=2, h_max=2, bin_size=100))
-        with ledger_views.MessageRecorder() as bulk_rows:
-            bulk.t = 130
-            bulk.send(MessageKind.CONTACT, 1, 2)
-            bulk.t = 250
-            if fan_in:
-                bulk.send_each(kind, many, one)
-            else:
-                bulk.send_each(kind, one, many)
-        with ledger_views.MessageRecorder() as single_rows:
-            single.t = 130
-            single.send(MessageKind.CONTACT, 1, 2)
-            single.t = 250
-            for other in many:
-                single.send(kind, *((other, one) if fan_in else (one, other)))
+        bulk = RecordingWorld(SimConfig(n_max=2, h_max=2, bin_size=100))
+        single = RecordingWorld(SimConfig(n_max=2, h_max=2, bin_size=100))
+        bulk.t = single.t = 130
+        bulk.send(MessageKind.CONTACT, 1, 2)
+        single.send(MessageKind.CONTACT, 1, 2)
+        bulk.t = single.t = 250
+        if fan_in:
+            bulk.send_each(kind, many, one)
+        else:
+            bulk.send_each(kind, one, many)
+        for other in many:
+            single.send(kind, *((other, one) if fan_in else (one, other)))
         assert bulk.ledger.kind_counts == single.ledger.kind_counts
-        assert bulk_rows.rows == single_rows.rows
-        assert ledger_views.views(bulk_rows, 100) == ledger_views.views(single_rows, 100)
+        assert bulk.rows == single.rows
+        assert ledger_views.views(bulk, 100) == ledger_views.views(single, 100)
         assert bulk.ledger.total == single.ledger.total == 1 + len(many)
 
     @pytest.mark.parametrize("fan_in", [False, True])
-    def test_no_receivers_appends_nothing(self, fan_in, recorder):
-        world = World(SimConfig(n_max=2, h_max=2))
+    def test_no_receivers_appends_nothing(self, fan_in):
+        world = RecordingWorld(SimConfig(n_max=2, h_max=2))
         world.t = 5
         if fan_in:
             world.send_each(MessageKind.LINK_ACK, [], 1)
         else:
             world.send_each(MessageKind.HOST_ANNOUNCE, 1, [])
         assert world.ledger.kind_counts == {}
-        assert world.ledger.total == len(recorder.rows) == 0
+        assert world.ledger.total == len(world.rows) == 0
 
-    def test_announce_without_friends_records_nothing(self, recorder):
+    def test_announce_without_friends_records_nothing(self):
         # DO 1 joins an empty graph, so it has no friend to tell.
-        world = World(SimConfig(n_max=1, h_max=5))
+        world = RecordingWorld(SimConfig(n_max=1, h_max=5))
         world.t += 1
         world.introduce_do()
         fam = world.families[1]
@@ -292,25 +264,25 @@ class TestBulkSends:
         world.t += 1
         assert announce_new_host(fam, host, world) == 0
         assert world.ledger.kind_counts == {MessageKind.COPY_REQUEST: 1, MessageKind.COPY_ACK: 1}
-        assert world.ledger.total == len(recorder.rows) == 2
+        assert world.ledger.total == len(world.rows) == 2
 
     @pytest.mark.parametrize("fan_in", [False, True])
-    def test_self_message_in_fan_raises_and_records_nothing(self, fan_in, recorder):
-        world = World(SimConfig(n_max=2, h_max=2))
+    def test_self_message_in_fan_raises_and_records_nothing(self, fan_in):
+        world = RecordingWorld(SimConfig(n_max=2, h_max=2))
         args = ([2, 1, 3], 1) if fan_in else (1, [2, 1, 3])
         with pytest.raises(ValueError):
             world.send_each(MessageKind.HOST_ANNOUNCE, *args)
         assert world.ledger.kind_counts == {}
-        assert world.ledger.total == len(recorder.rows) == 0
+        assert world.ledger.total == len(world.rows) == 0
         # Host ids may repeat DO ids: a DO asking the host that shares its id.
         world.send_each(MessageKind.COPY_REQUEST, 1, [2, 1, 3])
-        assert world.ledger.total == len(recorder.rows) == 3
+        assert world.ledger.total == len(world.rows) == 3
 
 
 # Every message view for SimConfig(n_max=60, h_max=120, seed=8) under each
 # policy, as the earlier dict-per-view ledger reported them: kind counts,
 # phase counts, and the sha256 hex digest of
-# json.dumps(ledger_views.views(recorder, 100), sort_keys=True).encode().
+# json.dumps(ledger_views.views(world, 100), sort_keys=True).encode().
 PINNED_LEDGERS = {
     PolicyKind.LEAST: (
         {"contact": 108, "contact_reply": 108, "copy_ack": 266, "copy_deny": 109,
@@ -334,15 +306,15 @@ PINNED_LEDGERS = {
 
 
 @pytest.mark.parametrize("policy", list(PolicyKind))
-def test_ledger_views_pinned(policy, recorder):
+def test_ledger_views_pinned(policy):
     kinds, phases, views_sha256 = PINNED_LEDGERS[policy]
-    result = run(SimConfig(n_max=60, h_max=120, seed=8, policy=policy))
+    result = recorded_run(SimConfig(n_max=60, h_max=120, seed=8, policy=policy))
     ledger = result.ledger
     assert {k.value: n for k, n in ledger.kind_counts.items()} == kinds
-    assert recorder.kind_counts() == ledger.kind_counts
+    assert ledger_views.kind_counts(result) == ledger.kind_counts
     growth = ledger.growth_messages
     assert {"growth": growth, "maintenance": ledger.total - growth} == phases
-    dump = json.dumps(ledger_views.views(recorder, result.config.bin_size),
+    dump = json.dumps(ledger_views.views(result, result.config.bin_size),
                       sort_keys=True).encode()
     assert hashlib.sha256(dump).hexdigest() == views_sha256
 
@@ -351,9 +323,8 @@ def test_recorder_changes_no_output(tmp_path):
     # The reference configuration, whose runs reach sacrifices and denials.
     cfg = SimConfig(policy=PolicyKind.MOST, seed=5)
     plain = run(cfg)
-    with ledger_views.MessageRecorder() as recorder:
-        observed = run(cfg)
-    assert len(recorder.rows) == observed.ledger.total > 0
+    observed = recorded_run(cfg)
+    assert len(observed.rows) == observed.ledger.total > 0
     assert summary_dict(observed) == summary_dict(plain)
     emit_timeseries_csv(plain, tmp_path / "plain.csv")
     emit_timeseries_csv(observed, tmp_path / "observed.csv")

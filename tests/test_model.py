@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ledger_views
-from uswsim.engine import World
+from ledger_views import RecordingWorld
 from uswsim.model import (
     HostBand,
     MessageKind,
@@ -151,16 +151,16 @@ class TestSimConfig:
 
 
 class TestMessage:
-    def test_self_message_rejected(self, recorder):
-        world = World(SimConfig(n_max=2, h_max=2))
+    def test_self_message_rejected(self):
+        world = RecordingWorld(SimConfig(n_max=2, h_max=2))
         with pytest.raises(ValueError):
             world.send(MessageKind.CONTACT, 1, 1)
         assert world.ledger.total == 0
-        assert recorder.rows == []
+        assert world.rows == []
 
-    def test_do_and_host_endpoints_differ(self, recorder):
+    def test_do_and_host_endpoints_differ(self):
         # DO 1 and host 1 are different endpoints: the kind says which is which.
-        world = World(SimConfig(n_max=2, h_max=2))
+        world = RecordingWorld(SimConfig(n_max=2, h_max=2))
         world.send(MessageKind.COPY_REQUEST, 1, 1)
-        assert ledger_views.do_sent(recorder) == {1: 1}
-        assert ledger_views.host_received(recorder) == {1: 1}
+        assert ledger_views.do_sent(world) == {1: 1}
+        assert ledger_views.host_received(world) == {1: 1}

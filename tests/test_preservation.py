@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ledger_views
+from audit import add_family, make_world
 from uswsim.engine import World
 from uswsim.model import MessageKind, PolicyKind, SimConfig
 from uswsim.preservation import (
-    Family,
     PlaceOutcome,
     announce_new_host,
     candidate_hosts,
@@ -14,23 +14,6 @@ from uswsim.preservation import (
     place_copy,
     try_sacrifice,
 )
-
-
-def make_world(**overrides):
-    defaults = dict(n_max=20, h_max=50, r_min=3, r_max=5, host_capacity=5, seed=1)
-    defaults.update(overrides)
-    return World(SimConfig(**defaults))
-
-
-def add_family(world, do, home, copies=(), r_min=None, r_max=None, connect=True):
-    world.discover_host(home)
-    fam = Family(do, home, r_min or world.config.r_min, r_max or world.config.r_max, 0)
-    fam.connected = connect
-    world.register_family(fam)
-    world.graph.add_node(do)
-    for h in copies:
-        world.note_copy(fam, world.discover_host(h), 1)
-    return fam
 
 
 class TestCopiesToAttempt:
@@ -240,7 +223,7 @@ class TestSacrifice:
         beneficiary = add_family(world, 9, home=12)
         assert try_sacrifice(beneficiary, 50, world) == 2
 
-    def test_nobody_above_r_min_means_none(self, recorder):
+    def test_nobody_above_r_min_means_none(self):
         # The host denies, and the beneficiary learns it is full.
         world = make_world(host_capacity=2)
         add_family(world, 1, home=10, copies=(50, 61, 62))
@@ -248,7 +231,7 @@ class TestSacrifice:
         beneficiary = add_family(world, 3, home=12)
         beneficiary.believed_free[50] = 2  # stale news of room
         assert try_sacrifice(beneficiary, 50, world) is None
-        assert ledger_views.messages(recorder) == [
+        assert ledger_views.messages(world) == [
             (MessageKind.COPY_REQUEST, 3, 50),
             (MessageKind.COPY_DENY, 50, 3),
         ]
@@ -264,13 +247,13 @@ class TestSacrifice:
         assert eligible_donor(world.hosts[50], world) is None
         assert try_sacrifice(beneficiary, 50, world) is None
 
-    def test_directive_charged_to_donor(self, recorder):
+    def test_directive_charged_to_donor(self):
         # The beneficiary asks, the host directs the donor and acknowledges.
         world = make_world(host_capacity=1)
         add_family(world, 1, home=10, copies=(50, 61, 62, 63))
         beneficiary = add_family(world, 2, home=11)
         try_sacrifice(beneficiary, 50, world)
-        assert ledger_views.messages(recorder) == [
+        assert ledger_views.messages(world) == [
             (MessageKind.COPY_REQUEST, 2, 50),
             (MessageKind.SACRIFICE_DIRECTIVE, 50, 1),
             (MessageKind.COPY_ACK, 50, 2),
@@ -278,14 +261,14 @@ class TestSacrifice:
         assert beneficiary.believed_free[50] == 0
         assert world.families[1].believed_free[50] == 0
 
-    def test_capacity_zero_host_denies_a_family_below_r_min(self, recorder):
+    def test_capacity_zero_host_denies_a_family_below_r_min(self):
         # The family's only candidate is a host with no slot and no resident.
         world = make_world(host_capacity=0)
         fam = add_family(world, 1, home=10)
         world.discover_host(20)
         fam.known_hosts.add(20)
         world._process_place(1, first=True)
-        assert ledger_views.messages(recorder) == [
+        assert ledger_views.messages(world) == [
             (MessageKind.COPY_REQUEST, 1, 20),
             (MessageKind.COPY_DENY, 20, 1),
         ]
@@ -317,7 +300,7 @@ class TestSacrifice:
 
 
 class TestAnnounceNewHost:
-    def test_one_message_per_friend(self, recorder):
+    def test_one_message_per_friend(self):
         world = make_world()
         fam = add_family(world, 1, home=10, copies=(40,))
         fam.believed_free[40] = 4
@@ -327,16 +310,16 @@ class TestAnnounceNewHost:
         sent = announce_new_host(fam, 40, world)
         assert sent == 4
         assert world.ledger.kind_counts[MessageKind.HOST_ANNOUNCE] == 4
-        received = ledger_views.do_received(recorder)
+        received = ledger_views.do_received(world)
         total_received = sum(received.get(d, 0) for d in (2, 3, 4, 5))
         assert total_received == 4
 
-    def test_no_friends_no_messages(self, recorder):
+    def test_no_friends_no_messages(self):
         world = make_world()
         fam = add_family(world, 1, home=10, copies=(40,))
         assert announce_new_host(fam, 40, world) == 0
         assert world.ledger.total == 0
-        assert recorder.rows == []
+        assert world.rows == []
 
     def test_receiver_at_r_max_records_host_but_stays_idle(self):
         world = make_world(r_min=1, r_max=1)
