@@ -231,38 +231,46 @@ def emit_snapshot_svg(result: World, t: int, path):
     parts.append(f'<text x="{half + half // 2}" y="24" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="14">t={t} hosts preserving={active_hosts}</text>')
 
-    # Left: tree-ring plot of DO statuses.
+    # Left: tree-ring plot of DO statuses.  Every family has the config's
+    # r_min/r_max, so each dot's tail (size and status fill) is tabulated
+    # by copy count.
     order = sorted(copies)
     layout = tree_ring_layout(order)
     max_ring = max((r for r, _ in layout.values()), default=0)
     cx, cy = half // 2, 40 + plot_h // 2
     radius_step = (plot_h // 2 - 10) / max(max_ring, 1)
     dot = max(2.0, min(8.0, radius_step / 2.2))
+    dot_tail = [f'" r="{dot:.2f}" fill="{_STATUS_FILL[status_of(c, cfg.r_min, cfg.r_max).value]}"'
+                f' stroke="#333" stroke-width="0.3"/>' for c in range(cfg.r_max + 1)]
     for do in order:
         ring, slot = layout[do]
-        fam = result.families[do]
-        v = status_of(copies[do], fam.r_min, fam.r_max).value
         if ring == 0:
             x, y = cx, cy
         else:
             angle = 2 * math.pi * slot / ring_capacity(ring)
             x = cx + ring * radius_step * math.sin(angle)
             y = cy - ring * radius_step * math.cos(angle)
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{dot:.2f}" '
-                     f'fill="{_STATUS_FILL[v]}" stroke="#333" stroke-width="0.3"/>')
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}' + dot_tail[copies[do]])
 
-    # Right: host grid over the whole universe, by sequence number.
+    # Right: host grid over the whole universe, by sequence number.  Each
+    # cell joins its column's x, its row's y and size, and the fill of its
+    # band, each formatted once: undiscovered hosts are grey, the rest
+    # banded by slots used.
     cols = math.ceil(math.sqrt(cfg.h_max))
     rows = math.ceil(cfg.h_max / cols)
     cell = min((half - 40) / cols, plot_h / rows)
     gx, gy = half + 20, 40
+    col_x = [f'<rect x="{gx + col * cell:.2f}" y="' for col in range(cols)]
+    row_y = [f'{gy + row * cell:.2f}" width="{cell:.2f}" height="{cell:.2f}" fill="'
+             for row in range(rows)]
+    cap = cfg.host_capacity
+    band_fill = [f'{_BAND_FILL[host_band(u, cap, True)]}" stroke="#888" stroke-width="0.2"/>'
+                 for u in range(cap + 1)]
+    grey_fill = f'{_BAND_FILL[HostBand.GREY]}" stroke="#888" stroke-width="0.2"/>'
     for h in range(1, cfg.h_max + 1):
-        band = host_band(used.get(h, 0), cfg.host_capacity, h in discovered)
-        col = (h - 1) % cols
-        row = (h - 1) // cols
-        parts.append(f'<rect x="{gx + col * cell:.2f}" y="{gy + row * cell:.2f}" '
-                     f'width="{cell:.2f}" height="{cell:.2f}" '
-                     f'fill="{_BAND_FILL[band]}" stroke="#888" stroke-width="0.2"/>')
+        row, col = divmod(h - 1, cols)
+        fill = band_fill[used.get(h, 0)] if h in discovered else grey_fill
+        parts.append(col_x[col] + row_y[row] + fill)
 
     # Histograms underneath, truncated at the snapshot bin.
     upto = sum(1 for bt in result.bin_ts if bt <= t)

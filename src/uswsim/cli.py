@@ -227,17 +227,22 @@ def int_list(text: str, what: str) -> list[int]:
     return values
 
 
-def snapshot_times(text: str) -> list[int]:
+def snapshot_times(text: str, max_events: int) -> list[int]:
+    """The --snapshots times; each must lie in [0, max_events], since no
+    run lasts longer, so a bad time is rejected before the run."""
     times = int_list(text, "snapshot time")
     for t in times:
         if t < 0:
             raise UsageError(f"snapshot time {t} is negative")
+        if t > max_events:
+            raise UsageError(f"snapshot time {t} is beyond max_events={max_events}, "
+                             f"where every run stops")
     return times
 
 
 def cmd_run(args) -> int:
     config = config_from_args(args)
-    snapshots = snapshot_times(args.snapshots)
+    snapshots = snapshot_times(args.snapshots, config.max_events)
     result = run(config)
     late = [t for t in snapshots if t > result.final_t]
     if late:

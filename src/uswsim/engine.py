@@ -22,9 +22,9 @@ from random import Random
 from .graph import FriendshipGraph, WanderState, finalize_links, start_wander, wander_step
 from .model import MessageKind, SimConfig, host_band, status_of
 from .preservation import (
+    PLACED,
     Family,
     Host,
-    PlaceOutcome,
     announce_new_host,
     candidate_hosts,
     copies_to_attempt,
@@ -32,6 +32,11 @@ from .preservation import (
     place_copy,
     try_sacrifice,
 )
+
+# The wander exchange's message kinds as module constants, for the reason
+# given beside preservation's.
+CONTACT, CONTACT_REPLY = MessageKind.CONTACT, MessageKind.CONTACT_REPLY
+LINK_REQUEST, LINK_ACK = MessageKind.LINK_REQUEST, MessageKind.LINK_ACK
 
 
 class MessageLedger:
@@ -226,14 +231,14 @@ class World:
     def _process_wander(self, do: int):
         state = self.wanderers[do]
         visited = state.current
-        self.send(MessageKind.CONTACT, do, visited)
-        self.send(MessageKind.CONTACT_REPLY, visited, do)
-        cap = 10 * max(len(self.graph), 1)
+        self.send(CONTACT, do, visited)
+        self.send(CONTACT_REPLY, visited, do)
+        cap = 10 * max(len(self.graph.adj), 1)
         if wander_step(state, self.graph, self.config.link_probability, self.rng, cap):
             edges = finalize_links(state, self.graph, self.config.extra_link_fraction, self.rng)
             friends = [v for _, v in edges]
-            self.send_each(MessageKind.LINK_REQUEST, do, friends)
-            self.send_each(MessageKind.LINK_ACK, friends, do)
+            self.send_each(LINK_REQUEST, do, friends)
+            self.send_each(LINK_ACK, friends, do)
             self._connect(self.families[do], state)
         else:
             self.queue.append(("wander", do))
@@ -244,10 +249,11 @@ class World:
         A full host may make room for a family below its r_min by a
         sacrifice (``try_sacrifice``); any other request gets a plain yes or
         no (``place_copy``).  Both send the exchange; a no counts a denial."""
-        if self.hosts[host_id].free_slots <= 0 and fam.copy_count < fam.r_min:
+        host = self.hosts[host_id]
+        if len(host.foreign) >= host.capacity and len(fam.copies) < fam.r_min:
             landed = try_sacrifice(fam, host_id, self) is not None
         else:
-            landed = place_copy(fam, host_id, self) is PlaceOutcome.PLACED
+            landed = place_copy(fam, host_id, self) is PLACED
         if not landed:
             self.denials += 1
         return landed
@@ -268,7 +274,7 @@ class World:
         """
         fam = self.families[do]
         fam.pending = False
-        c = fam.copy_count
+        c = len(fam.copies)
         desired = copies_to_attempt(self.config.policy, c, fam.r_min, fam.r_max, first)
         if desired <= 0:
             return
@@ -277,7 +283,7 @@ class World:
         # Each contact lands at most one copy and desired <= r_max - c, so
         # the budget alone keeps the family within r_max.
         for host_id in candidate_hosts(fam, self, desired):
-            if fam.believed_free.get(host_id, cap) <= 0 and fam.copy_count >= fam.r_min:
+            if fam.believed_free.get(host_id, cap) <= 0 and len(fam.copies) >= fam.r_min:
                 break  # only hosts it believes full remain
             fresh = host_id not in fam.known_hosts
             if self._contact(fam, host_id):
@@ -292,7 +298,7 @@ class World:
         fam = self.families[do]
         host_id = fam.chase_target
         fam.chase_target = None
-        if fam.copy_count >= fam.r_max:
+        if len(fam.copies) >= fam.r_max:
             return
         if host_id == fam.home_host or host_id in fam.copies:
             return

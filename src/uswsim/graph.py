@@ -79,9 +79,17 @@ class FriendshipGraph:
         return len(self.adj)
 
     def write_edge_list(self, path):
-        """One ascending "u v" pair per line, suitable for external tools."""
+        """One ascending "u v" pair per line, suitable for external tools:
+        the pairs of ``edges()``, with each node's id formatted once."""
+        adj = self.adj
+        names = {u: str(u) for u in adj}
+        lines = []
+        for u in sorted(adj):
+            prefix = names[u] + " "
+            lines += [prefix + names[v] for v in sorted(adj[u]) if v > u]
+        lines.append("")
         with atomic_write(path) as fh:
-            fh.write("".join(f"{u} {v}\n" for u, v in self.edges()))
+            fh.write("\n".join(lines))
 
 
 class WanderState:

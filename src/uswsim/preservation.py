@@ -14,7 +14,6 @@ Three transcribed flocking rules govern everything here:
 from __future__ import annotations
 
 import enum
-import heapq
 
 from .model import MessageKind, PolicyKind
 
@@ -71,6 +70,15 @@ class PlaceOutcome(enum.Enum):
     DENIED = "denied"
 
 
+# The functions below name enum members through these module constants:
+# reading a member off its class goes through EnumType's __getattr__ hook,
+# several times the cost of a global lookup, and they do so per message.
+PLACED, DENIED = PlaceOutcome.PLACED, PlaceOutcome.DENIED
+COPY_REQUEST, COPY_ACK, COPY_DENY = (MessageKind.COPY_REQUEST, MessageKind.COPY_ACK,
+                                     MessageKind.COPY_DENY)
+SACRIFICE_DIRECTIVE, HOST_ANNOUNCE = MessageKind.SACRIFICE_DIRECTIVE, MessageKind.HOST_ANNOUNCE
+
+
 def copies_to_attempt(policy: PolicyKind, current_c: int, r_min: int, r_max: int,
                       first_connection: bool) -> int:
     """How many copies a family tries to make at one opportunity.
@@ -100,7 +108,8 @@ def candidate_hosts(family: Family, world, limit: int | None = None) -> list[int
     hosts it has heard about follow, by the free slots it believes each
     has, then by id.  Hosts believed full stay at the tail: they may still
     accept via a sacrifice.  ``limit`` is the contact budget: only that
-    many of the best are returned (all of them when None).
+    many of the best are returned (all of them when None), and when the
+    unheard hosts alone fill it the heard ones are never ranked.
 
     Every believed count is one a host reported (or an announcer saw) after
     a request, so it is below ``host_capacity`` whenever that is at least
@@ -108,20 +117,21 @@ def candidate_hosts(family: Family, world, limit: int | None = None) -> list[int
     host by its believed count.  With no slots anywhere, all hosts rank
     alike and the order is by id.
     """
+    families = world.families
     pool = set(family.known_hosts)
     for friend in world.graph.neighbors(family.do_id):
-        pool.add(world.families[friend].home_host)
+        pool.add(families[friend].home_host)
     pool.discard(family.home_host)
     pool -= family.copies
     if world.config.host_capacity < 1:
         return sorted(pool)[:limit]
     believed = family.believed_free
     unheard = pool.difference(believed)
-    if limit is not None and len(unheard) >= limit:
-        return heapq.nsmallest(limit, unheard)
-    heard = sorted(pool.intersection(believed))
-    heard.sort(key=believed.__getitem__, reverse=True)
     ranked = sorted(unheard)
+    if limit is not None and len(ranked) >= limit:
+        return ranked[:limit]
+    heard = sorted(pool - unheard)
+    heard.sort(key=believed.__getitem__, reverse=True)
     ranked += heard
     return ranked[:limit]
 
@@ -134,18 +144,18 @@ def place_copy(family: Family, host_id: int, world) -> PlaceOutcome:
     """
     if host_id == family.home_host or host_id in family.copies:
         raise ValueError(f"family {family.do_id} already lives on host {host_id}")
-    if family.copy_count >= family.r_max:
+    if len(family.copies) >= family.r_max:
         raise ValueError(f"family {family.do_id} already at r_max")
     host = world.hosts[host_id]
-    world.send(MessageKind.COPY_REQUEST, family.do_id, host_id)
-    if host.free_slots <= 0:
+    world.send(COPY_REQUEST, family.do_id, host_id)
+    if len(host.foreign) >= host.capacity:
         family.believed_free[host_id] = 0
-        world.send(MessageKind.COPY_DENY, host_id, family.do_id)
-        return PlaceOutcome.DENIED
+        world.send(COPY_DENY, host_id, family.do_id)
+        return DENIED
     world.note_copy(family, host, 1)
-    family.believed_free[host_id] = host.free_slots
-    world.send(MessageKind.COPY_ACK, host_id, family.do_id)
-    return PlaceOutcome.PLACED
+    family.believed_free[host_id] = host.capacity - len(host.foreign)
+    world.send(COPY_ACK, host_id, family.do_id)
+    return PLACED
 
 
 def eligible_donor(host: Host, world) -> int | None:
@@ -158,7 +168,7 @@ def eligible_donor(host: Host, world) -> int | None:
     best_key = None
     for do in host.foreign:
         fam = world.families[do]
-        c = fam.copy_count
+        c = len(fam.copies)
         if c > fam.r_min and c >= 2:
             key = (c, -do)
             if best_key is None or key > best_key:
@@ -175,23 +185,23 @@ def try_sacrifice(beneficiary: Family, host_id: int, world) -> int | None:
     slot and acknowledges, or denies when no resident may donate.  Returns
     the donor's id, or None on a denial."""
     host = world.hosts[host_id]
-    if host.free_slots > 0:
+    if len(host.foreign) < host.capacity:
         raise ValueError("sacrifice on a host with free slots")
-    if beneficiary.copy_count >= beneficiary.r_min:
+    if len(beneficiary.copies) >= beneficiary.r_min:
         raise ValueError("beneficiary is not below its r_min")
-    world.send(MessageKind.COPY_REQUEST, beneficiary.do_id, host_id)
+    world.send(COPY_REQUEST, beneficiary.do_id, host_id)
     beneficiary.believed_free[host_id] = 0
     donor_id = eligible_donor(host, world)
     if donor_id is None:
-        world.send(MessageKind.COPY_DENY, host_id, beneficiary.do_id)
+        world.send(COPY_DENY, host_id, beneficiary.do_id)
         return None
     donor = world.families[donor_id]
     world.note_copy(donor, host, -1)
-    world.send(MessageKind.SACRIFICE_DIRECTIVE, host_id, donor_id)
+    world.send(SACRIFICE_DIRECTIVE, host_id, donor_id)
     world.note_copy(beneficiary, host, 1)
     donor.believed_free[host_id] = 0
     world.note_sacrifice(donor_id)
-    world.send(MessageKind.COPY_ACK, host_id, beneficiary.do_id)
+    world.send(COPY_ACK, host_id, beneficiary.do_id)
     return donor_id
 
 
@@ -203,7 +213,7 @@ def announce_new_host(family: Family, host_id: int, world) -> int:
     at most one chase queued, retargeted by newer news.
     """
     friends = sorted(world.graph.neighbors(family.do_id))
-    world.send_each(MessageKind.HOST_ANNOUNCE, family.do_id, friends)
+    world.send_each(HOST_ANNOUNCE, family.do_id, friends)
     observed = family.believed_free.get(host_id, 0)
     families = world.families
     wake = []

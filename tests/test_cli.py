@@ -218,6 +218,23 @@ class TestRunCommand:
         assert "100000000" in proc.stderr
         assert not out.exists()
 
+    def test_snapshot_beyond_max_events_rejected_before_run(self, tmp_path, capsys):
+        # A 5000-DO run would take seconds; the time is refused from the
+        # flags alone, by the check that names max_events.
+        out = tmp_path / "out"
+        assert main(["run", "--n-max", "5000", "--h-max", "10000",
+                     "--snapshots", "0,500001", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "snapshot time 500001 is beyond max_events=500000" in err
+        assert not out.exists()
+
+    def test_snapshot_after_last_event_rejected_after_run(self, tmp_path, capsys):
+        # Within max_events, but the run reaches quiescence long before.
+        out = tmp_path / "out"
+        assert main(["run", *FAST, "--snapshots", "19000", "--out-dir", str(out)]) == 1
+        assert "beyond the run's last event" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_export_leaves_no_outputs(self, tmp_path):
         # A directory where the second snapshot should go makes that export
         # fail after the CSV, JSON, edge list and first snapshot were written.

@@ -81,6 +81,24 @@ PINNED = {
     },
 }
 
+# The benchmark's own scale: the default 500 DOs / 1000 hosts with the
+# snapshots and edge list of the `reference` workload, so the full 32x32
+# host grid, a 500-DO tree ring and a 4070-edge list are byte-checked.  The
+# run places 3101 copies, sacrifices 1331 and is denied 3503 times.
+REFERENCE_ARGS = ("most", "--seed", "1", "--snapshots", "1500,3500", "--edge-list")
+REFERENCE_PINNED = {
+    "run_most_n500_seed1.csv":
+        "624e8ab20c3c750a5906986e2841089cc997a5ae6fce13fb2b9d2030198f17ab",
+    "run_most_n500_seed1.edges":
+        "3527d7ab1b09c6737abb07f55b0ca576934dfbd07a952360c5f374305b351cd9",
+    "run_most_n500_seed1.json":
+        "3293e4861999a889fd7e9cb29648886ed5cf26c8ffee973ad2db51989bd688cc",
+    "run_most_n500_seed1_t1500.svg":
+        "cadf1fcda47d3b3ce04711959f0fb82eba242931e33cc0833e14419df3584ab2",
+    "run_most_n500_seed1_t3500.svg":
+        "60f6a4b4625fb9faadb1fd2375252c159b0d29eeea78e3d5af6fcf8c3e65ef08",
+}
+
 
 def written_digests(out_dir) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -93,3 +111,9 @@ def test_run_outputs_match_pins(tmp_path, extra):
     assert main(["run", "--policy", policy, *GOLDEN_ARGS, *rest,
                  "--out-dir", str(tmp_path)]) == 0
     assert written_digests(tmp_path) == PINNED[extra]
+
+
+def test_reference_scale_outputs_match_pins(tmp_path):
+    policy, *rest = REFERENCE_ARGS
+    assert main(["run", "--policy", policy, *rest, "--out-dir", str(tmp_path)]) == 0
+    assert written_digests(tmp_path) == REFERENCE_PINNED

@@ -51,6 +51,20 @@ class TestFriendshipGraph:
         g.write_edge_list(path)
         assert path.read_text() == "1 2\n1 3\n"
 
+    @pytest.mark.parametrize("make", [
+        FriendshipGraph,
+        lambda: graph_of([], nodes=[3, 1, 2]),
+        lambda: graph_of([(7, 2), (2, 9)], nodes=[5, 11, 1]),
+        lambda: relabel(grow_graph(300, seed=3),
+                        {u: -1000 * ((u * 37) % 300) + 7 for u in range(1, 301)}),
+        lambda: grow_graph(500, seed=5),
+    ], ids=["empty", "isolated-nodes", "edges-and-isolated", "relabelled-sparse", "grown"])
+    def test_edge_list_matches_edges_oracle(self, tmp_path, make):
+        g = make()
+        path = tmp_path / "g.edges"
+        g.write_edge_list(path)
+        assert path.read_bytes() == "".join(f"{u} {v}\n" for u, v in g.edges()).encode()
+
 
 class TestWandering:
     def test_first_do_joins_without_wandering(self):
