@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from random import Random
 
-from .graph import FriendshipGraph, WanderState, finalize_links, start_wander, wander_step
+from .graph import FriendshipGraph, WanderState, _below, finalize_links, start_wander, wander_step
 from .model import MessageKind, SimConfig, host_band, status_of
 from .preservation import (
     PLACED,
@@ -202,7 +202,7 @@ class World:
         do = len(self.families) + 1
         if do > self.config.n_max:
             raise RuntimeError("introduction past n_max")
-        home = self.rng.randrange(1, self.config.h_max + 1)
+        home = 1 + _below(self.rng, self.config.h_max)
         self.discover_host(home)
         fam = Family(do, home, self.config.r_min, self.config.r_max, self.t)
         self.register_family(fam)

@@ -38,6 +38,63 @@ TRIANGLE_BLOCK = 1024
 # to peak memory (a 2000-node baseline needs ~100k words) and gain nothing.
 DRAW_BATCH = 1 << 13
 
+# _csr turns neighbour ids into rows through a lookup table over the ids'
+# span, one row an entry, while that span is at most this many ids per
+# node; sparser ids are looked up in a dict.
+LOOKUP_SPAN = 1024
+
+
+def _below(rng: Random, n: int) -> int:
+    """``rng.randrange(n)``: the same result from the same ``getrandbits``
+    calls, with rng left in the same state.  It draws
+    ``getrandbits(n.bit_length())`` again while that is n or more, as
+    ``Random._randbelow_with_getrandbits`` does.  n must be positive; every
+    draw is n or more otherwise, and ValueError is raised, as randrange
+    raises it."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        if n <= 0:
+            raise ValueError("empty range for _below")
+        r = rng.getrandbits(k)
+    return r
+
+
+def _sample(rng: Random, population: list, k: int) -> list:
+    """``rng.sample(population, k)``, drawn as ``_below`` draws: the same
+    picks in the same order from the same ``getrandbits`` calls, with rng
+    left in the same state.  Like ``Random.sample`` it shuffles a copy of
+    the population while that is smaller than a set of k picks, and
+    otherwise redraws indices already picked."""
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result = [None] * k
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(population)
+        for i in range(k):
+            m = n - i
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result[i] = pool[j]
+            pool[j] = pool[m - 1]
+    else:
+        selected: set[int] = set()
+        bits = n.bit_length()
+        for i in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            result[i] = population[j]
+    return result
+
 
 class FriendshipGraph:
     """Undirected simple graph over DO ids (no self-loops, no parallel edges)."""
@@ -45,6 +102,10 @@ class FriendshipGraph:
     def __init__(self):
         self.adj: dict[int, set[int]] = {}
         self.edge_count = 0
+        # The last CSR _csr built, kept with the node order and degrees it
+        # was built for: edges are only ever added, so while the degrees
+        # hold the adjacency does too.
+        self._csr_memo: tuple[list[int], np.ndarray, np.ndarray] | None = None
 
     def add_node(self, u: int):
         if u not in self.adj:
@@ -127,7 +188,7 @@ def start_wander(do_id: int, graph: FriendshipGraph, connected_nodes: list[int],
     graph.add_node(do_id)
     if not connected_nodes:
         return WanderState(do_id, None)
-    entry = connected_nodes[rng.randrange(len(connected_nodes))]
+    entry = connected_nodes[_below(rng, len(connected_nodes))]
     return WanderState(do_id, entry)
 
 
@@ -152,7 +213,7 @@ def wander_step(state: WanderState, graph: FriendshipGraph, link_probability: fl
         return True
 
     # A wanderer has no edges, so glean has just put every friend into the candidates.
-    state.current = state.candidates[rng.randrange(len(state.candidates))]
+    state.current = state.candidates[_below(rng, len(state.candidates))]
     return False
 
 
@@ -170,12 +231,15 @@ def finalize_links(state: WanderState, graph: FriendshipGraph,
     new_edges: list[tuple[int, int]] = []
     if first is not None and graph.add_edge(do, first):
         new_edges.append((do, first))
-    remaining = [c for c in state.candidates if c != first]
+    remaining = state.candidates
+    if first in state._candidate_set:
+        remaining = remaining.copy()
+        remaining.remove(first)
     if remaining and extra_link_fraction > 0:
         k = math.ceil(extra_link_fraction * len(remaining))
         adj = graph.adj
         mine = adj[do]
-        targets = [t for t in rng.sample(remaining, k) if t not in mine]
+        targets = [t for t in _sample(rng, remaining, k) if t not in mine]
         mine.update(targets)
         for target in targets:
             adj[target].add(do)
@@ -366,18 +430,46 @@ def _gather_or(frontier: np.ndarray, neighbours: np.ndarray, offsets: np.ndarray
 def _csr(graph: FriendshipGraph, nodes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Adjacency of ``nodes`` in compressed sparse rows: node ``nodes[i]``
     is row i, and its neighbours' rows fill ``degrees[i]`` consecutive
-    entries of the flat index array, rows in order.  The neighbour ids are
-    read and turned into rows in one C-level pass, with no Python frame
-    per entry.  Every neighbour must itself be in ``nodes``; one that is
-    not raises KeyError."""
+    entries of the flat index array, rows in order.  Rows are held in the
+    narrowest unsigned type that also holds ``len(nodes)``.  The neighbour
+    ids are read in one C-level pass and turned into rows through a table
+    indexed by id, with no Python frame per entry.  Every neighbour must
+    itself be in ``nodes``; one that is not raises KeyError.
+
+    The graph keeps the last CSR built, read-only, and hands it back while
+    ``nodes`` and their degrees are unchanged."""
     import numpy as np
 
     n = len(nodes)
     neighbour_sets = list(map(graph.adj.__getitem__, nodes))
     degrees = np.fromiter(map(len, neighbour_sets), dtype=np.int64, count=n)
-    row = dict(zip(nodes, range(n)))
-    indices = np.fromiter(map(row.__getitem__, chain.from_iterable(neighbour_sets)),
-                          dtype=np.intp, count=int(degrees.sum()))
+    memo = graph._csr_memo
+    if memo is not None and memo[0] == nodes and np.array_equal(memo[1], degrees):
+        return memo[1], memo[2]
+    count = int(degrees.sum())
+    neighbours = chain.from_iterable(neighbour_sets)
+    # The row type also holds n, which marks the table's ids that are not nodes.
+    row_type = np.min_scalar_type(n)
+    lo, hi = min(nodes, default=0), max(nodes, default=0)
+    if -(1 << 63) <= lo and hi < 1 << 63 and hi - lo <= LOOKUP_SPAN * n:
+        table = np.full(hi - lo + 1, n, dtype=row_type)
+        table[np.array(nodes, dtype=np.int64) - lo] = np.arange(n, dtype=row_type)
+        try:
+            ids = np.fromiter(neighbours, dtype=np.int64, count=count)
+        except OverflowError:
+            raise KeyError("a neighbour id is outside int64") from None
+        outside = (ids < lo) | (ids > hi)
+        if not outside.any():
+            ids -= lo
+            indices = table[ids]
+            outside = indices == n
+        if outside.any():
+            raise KeyError(list(chain.from_iterable(neighbour_sets))[outside.argmax()])
+    else:
+        row = dict(zip(nodes, range(n)))
+        indices = np.fromiter(map(row.__getitem__, neighbours), dtype=row_type, count=count)
+    degrees.flags.writeable = indices.flags.writeable = False
+    graph._csr_memo = (nodes, degrees, indices)
     return degrees, indices
 
 

@@ -3,10 +3,12 @@ import math
 from collections import deque
 from random import Random
 
+import numpy as np
 import pytest
 
 from uswsim.graph import (
     BFS_BLOCK,
+    LOOKUP_SPAN,
     FriendshipGraph,
     WanderState,
     avg_path_length,
@@ -16,8 +18,10 @@ from uswsim.graph import (
     start_wander,
     uniform_random_graph,
     wander_step,
+    _below,
     _csr,
     _largest_component,
+    _sample,
 )
 
 
@@ -379,17 +383,71 @@ class TestCsr:
     def test_matches_dict_lookup(self, ids):
         g = relabel(grow_graph(300, seed=3), ids)
         nodes = list(g.adj)
+        # Dense enough for the lookup table.
+        assert max(nodes) - min(nodes) <= LOOKUP_SPAN * len(nodes)
         degrees, indices = _csr(g, nodes)
         row = {u: i for i, u in enumerate(nodes)}
+        assert indices.dtype == np.uint16
         assert degrees.tolist() == [len(g.adj[u]) for u in nodes]
         assert indices.tolist() == [row[v] for u in nodes for v in g.adj[u]]
 
-    @pytest.mark.parametrize("outside", [5, 0, 99, -3])
+    @pytest.mark.parametrize("outside", [5, 0, 99, -3, 1 << 70])
     def test_neighbour_outside_nodes_raises(self, outside):
-        # 5 lies between the nodes' ids, 0, 99 and -3 beyond them.
+        # 5 lies between the nodes' ids, 0, 99 and -3 beyond them, and
+        # 2**70 beyond int64.
         g = graph_of([(2, 4), (4, 6), (6, 8), (8, outside)])
         with pytest.raises(KeyError):
             _csr(g, [2, 4, 6, 8])
+
+    def test_ids_too_sparse_for_the_table_use_a_dict(self):
+        g = graph_of([(-(1 << 70), 0), (0, 1 << 70), (1 << 70, 5), (7, 8)])
+        nodes = list(g.adj)
+        assert max(nodes) - min(nodes) > LOOKUP_SPAN * len(nodes)
+        degrees, indices = _csr(g, nodes)
+        assert degrees.tolist() == [1, 2, 2, 1, 1, 1]
+        assert indices.tolist() == [1, 0, 2, 1, 3, 2, 5, 4]
+        with pytest.raises(KeyError):
+            _csr(g, nodes[:3])
+
+    def test_kept_csr_is_reused_for_the_same_nodes_only(self):
+        g = grow_graph(300, seed=3)
+        nodes = list(g.adj)
+        _, indices = _csr(g, nodes)
+        with pytest.raises(ValueError):
+            indices[0] = 0
+        # clustering_coefficient's graph.adj order is avg_path_length's
+        # sorted component on a connected graph grown from id 1 up.
+        assert _csr(g, sorted(g.adj))[1] is indices
+        # Another order, and one with the same degree sequence: two nodes
+        # of equal degree swapped.
+        shuffled = nodes.copy()
+        Random(1).shuffle(shuffled)
+        u, w = next((u, w) for u in nodes for w in nodes
+                    if u < w and len(g.adj[u]) == len(g.adj[w]))
+        swapped = [{u: w, w: u}.get(x, x) for x in nodes]
+        for order in (shuffled, swapped, nodes):
+            row = {x: i for i, x in enumerate(order)}
+            assert _csr(g, order)[1].tolist() == [row[v] for x in order for v in g.adj[x]]
+
+    @pytest.mark.parametrize("change", ["triangle-edge", "isolated-node", "edge-to-new-node"])
+    def test_metrics_follow_changes_after_a_measurement(self, change):
+        g = grow_graph(300, seed=3)
+        clustering_coefficient(g)
+        avg_path_length(g)
+        if change == "triangle-edge":
+            # Two unlinked neighbours of node 1: the edge closes a triangle
+            # and shortens their distance from 2 to 1.
+            u, w = next((u, w) for u in g.adj[1] for w in g.adj[1]
+                        if u < w and w not in g.adj[u])
+            g.add_edge(u, w)
+        elif change == "isolated-node":
+            g.add_node(301)
+        else:
+            g.add_edge(301, 5)
+        fresh = graph_of(g.edges(), nodes=list(g.adj))
+        assert list(fresh.adj) == list(g.adj)
+        assert clustering_coefficient(g) == clustering_coefficient(fresh)
+        assert avg_path_length(g) == avg_path_length(fresh)
 
 
 def bfs_oracle(g):
@@ -479,6 +537,55 @@ class TestUniformRandomGraph:
         for u in g.adj:
             assert list(g.adj[u]) == list(expected.adj[u]), u
         assert rng.getstate() == oracle_rng.getstate()
+
+
+def stream_contract_cases():
+    """(n, k) pairs: every n up to 70, and 2**j and 2**j +- 1 up to 4096,
+    each with k of 0, 1, ceil(0.3 n) and n, and of 2, 5 and 6.
+    Random.sample shuffles a copy of the population while it is no larger
+    than a set of k picks and redraws picked indices past that: 21 slots
+    for k <= 5 and 37 for k = 6, so k of 2, 5 and 6 run both ways on each
+    side of the switch, where they draw different picks."""
+    sizes = set(range(1, 71))
+    for j in range(13):
+        sizes |= {2**j - 1, 2**j, 2**j + 1}
+    sizes.discard(0)
+    return [(n, k) for n in sorted(sizes)
+            for k in sorted({0, 1, 2, 5, 6, math.ceil(0.3 * n), n}) if k <= n]
+
+
+class TestStreamContract:
+    """_below and _sample are randrange and sample without random.py's
+    Python layers: each must give the same values from the same
+    getrandbits calls, and leave the generator in the same state."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_below_matches_randrange(self, seed):
+        rng, oracle_rng = Random(seed), Random(seed)
+        for n, _ in stream_contract_cases():
+            for _ in range(3):
+                assert _below(rng, n) == oracle_rng.randrange(n), n
+        assert rng.getstate() == oracle_rng.getstate()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sample_matches_random_sample(self, seed):
+        rng, oracle_rng = Random(seed), Random(seed)
+        for n, k in stream_contract_cases():
+            population = list(range(1000, 1000 + n))
+            for _ in range(2):
+                assert _sample(rng, population, k) == oracle_rng.sample(population, k), (n, k)
+            assert population == list(range(1000, 1000 + n))
+            assert rng.getstate() == oracle_rng.getstate(), (n, k)
+
+    @pytest.mark.parametrize("n", [0, -1, -64])
+    def test_empty_range_rejected(self, n):
+        with pytest.raises(ValueError):
+            _below(Random(1), n)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_sample_outside_the_population_rejected(self, k):
+        with pytest.raises(ValueError):
+            _sample(Random(1), [1, 2, 3], k)
 
 
 def pairwise_random_graph(n, m, rng):

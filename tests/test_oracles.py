@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from uswsim.analysis import summary_dict
-from uswsim.engine import run
+from uswsim.engine import World, run
 from uswsim.graph import avg_path_length, grow_graph
 from uswsim.model import MessageKind, PolicyKind, SimConfig
 
@@ -77,22 +77,53 @@ def test_policies_agree_when_r_max_is_one(seed):
         assert outputs(replace(base, policy=policy)) == least
 
 
-def test_uniform_attachment_tree_has_the_expected_mean_path_length():
-    # At link probability 1 and no extra links each newcomer links to the
-    # node it enters at, drawn uniformly, so grow_graph grows a random
-    # recursive tree.  Joining node u adds u's distance sum plus one per
-    # node, and u's mean distance sum is 2 W / k, so the total distance W
-    # over pairs obeys E[W(k + 1)] = (1 + 2 / k) E[W(k)] + k (Moon 1974).
-    n = 500
+def recursive_tree_mean_path_length(n):
+    """Expected mean path length of a random recursive tree on n nodes.
+    Joining node u adds u's distance sum plus one per node, and u's mean
+    distance sum is 2 W / k, so the total distance W over pairs obeys
+    E[W(k + 1)] = (1 + 2 / k) E[W(k)] + k (Moon 1974)."""
     total = Fraction(0)
     for k in range(1, n):
         total = (1 + Fraction(2, k)) * total + k
-    exact = float(total / (n * (n - 1) // 2))
+    return float(total / (n * (n - 1) // 2))
+
+
+def assert_mean_within_4_standard_errors(lengths, expected):
+    standard_error = statistics.stdev(lengths) / math.sqrt(len(lengths))
+    assert abs(statistics.fmean(lengths) - expected) < 4 * standard_error
+
+
+def test_uniform_attachment_tree_has_the_expected_mean_path_length():
+    # At link probability 1 and no extra links each newcomer links to the
+    # node it enters at, drawn uniformly, so grow_graph grows a random
+    # recursive tree.
+    n = 500
+    exact = recursive_tree_mean_path_length(n)
     assert round(exact, 4) == 9.6321
     lengths = []
     for seed in range(1, 201):
         length, disconnected = avg_path_length(grow_graph(n, 1.0, 0.0, seed=seed))
         assert not disconnected
         lengths.append(length)
-    standard_error = statistics.stdev(lengths) / math.sqrt(len(lengths))
-    assert abs(statistics.fmean(lengths) - exact) < 4 * standard_error
+    assert_mean_within_4_standard_errors(lengths, exact)
+
+
+def test_engine_grows_a_uniform_attachment_tree():
+    # The same tree grown by the engine, whose wander and link draws
+    # interleave with a run's other draws.  At link probability 1 a
+    # wanderer links at its first contact.  If it has also done so before
+    # the next introduction, each newcomer enters uniformly over all
+    # earlier DOs, which makes this uniform attachment; that premise is
+    # checked at every introduction.  80 runs take about 2 s.
+    n = 500
+    lengths = []
+    for seed in range(1, 81):
+        world = World(SimConfig(n_max=n, seed=seed, link_probability=1.0,
+                                extra_link_fraction=0.0))
+        for event in world.events():
+            if event == "introduce":
+                assert set(world.wanderers) <= {len(world.families)}, (seed, world.t)
+        length, disconnected = avg_path_length(world.graph)
+        assert not disconnected
+        lengths.append(length)
+    assert_mean_within_4_standard_errors(lengths, recursive_tree_mean_path_length(n))
