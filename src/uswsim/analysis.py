@@ -114,7 +114,7 @@ def summary_dict(result: World) -> dict:
     h_max = result.config.h_max
     # run() always samples a last bin at final_t, over every family.
     none_made, partial, at_min, at_max = result.status_series[-1]
-    full = sum(1 for h in hosts.values() if h.free_slots == 0)
+    full = sum(1 for h in hosts.values() if h.used == h.capacity)
     white = sum(1 for h in hosts.values() if h.used == 0)
     ledger = result.ledger
     growth = ledger.growth_messages

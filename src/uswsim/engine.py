@@ -129,26 +129,22 @@ class World:
 
     # ----- ledger / bookkeeping hooks used by preservation ---------------
 
-    def send(self, kind: MessageKind, frm: int, to: int):
-        """Count one message; the kind says whether ``frm``/``to`` are DO or host ids.
+    def send(self, kind: MessageKind, frm: int | list[int], to: int | list[int]):
+        """Count messages; the kind says whether ``frm``/``to`` are DO or host ids.
 
-        A DO message from a DO to itself counts nothing and raises.
+        One side may be a list of ids, the receivers of a fan-out or the
+        senders of a fan-in: one message is counted per id.  A DO message
+        from a DO to itself counts nothing and raises.
         """
-        if frm == to and kind.from_do and kind.to_do:
+        if type(to) is list:
+            n, to_self = len(to), frm in to
+        elif type(frm) is list:
+            n, to_self = len(frm), to in frm
+        else:
+            n, to_self = 1, frm == to
+        if to_self and kind.from_do and kind.to_do:
             raise ValueError("message sender and recipient must differ")
-        self.ledger.counts[kind.code] += 1
-
-    def send_each(self, kind: MessageKind, frm: int | list[int], to: int | list[int]):
-        """Count one message per id in whichever of ``frm``/``to`` is a list.
-
-        The other side is a single id, sender of a fan-out or receiver of a
-        fan-in.  A DO message from a DO to itself counts nothing and raises.
-        """
-        fan_in = isinstance(frm, list)
-        one, many = (to, frm) if fan_in else (frm, to)
-        if kind.from_do and kind.to_do and one in many:
-            raise ValueError("message sender and recipient must differ")
-        self.ledger.counts[kind.code] += len(many)
+        self.ledger.counts[kind.code] += n
 
     def note_copy(self, fam: Family, host: Host, delta: int):
         """Store (+1) or remove (-1) a copy of ``fam`` on ``host`` and book it.
@@ -208,13 +204,12 @@ class World:
         self.register_family(fam)
         state = start_wander(do, self.graph, self.connected_order, self.rng)
         if state.connected:
-            self._connect(fam, state)
+            self._connect(fam)
         else:
             self.wanderers[do] = state
             self.queue.append(("wander", do))
 
-    def _connect(self, fam: Family, state: WanderState):
-        fam.connected = True
+    def _connect(self, fam: Family):
         self.connected_order.append(fam.do_id)
         self.wanderers.pop(fam.do_id, None)
         fam.pending = True
@@ -237,9 +232,9 @@ class World:
         if wander_step(state, self.graph, self.config.link_probability, self.rng, cap):
             edges = finalize_links(state, self.graph, self.config.extra_link_fraction, self.rng)
             friends = [v for _, v in edges]
-            self.send_each(LINK_REQUEST, do, friends)
-            self.send_each(LINK_ACK, friends, do)
-            self._connect(self.families[do], state)
+            self.send(LINK_REQUEST, do, friends)
+            self.send(LINK_ACK, friends, do)
+            self._connect(self.families[do])
         else:
             self.queue.append(("wander", do))
 
@@ -298,11 +293,9 @@ class World:
         fam = self.families[do]
         host_id = fam.chase_target
         fam.chase_target = None
-        if len(fam.copies) >= fam.r_max:
-            return
-        if host_id == fam.home_host or host_id in fam.copies:
-            return
-        self._contact(fam, host_id)
+        # announce_new_host never points a family at its own home host.
+        if len(fam.copies) < fam.r_max and host_id not in fam.copies:
+            self._contact(fam, host_id)
 
     def _process_announce(self, do: int, host_ids: tuple[int, ...]):
         fam = self.families[do]
@@ -313,12 +306,12 @@ class World:
 
     def family_has_opening(self, fam: Family) -> bool:
         """Can this family place a copy right now, directly or via sacrifice?"""
-        if not fam.connected or fam.copy_count >= fam.r_max:
+        if fam.do_id in self.wanderers or fam.copy_count >= fam.r_max:
             return False
         below_min = fam.copy_count < fam.r_min
         for host_id in candidate_hosts(fam, self):
             host = self.hosts[host_id]
-            if host.free_slots > 0:
+            if host.used < host.capacity:
                 return True
             if below_min and eligible_donor(host, self) is not None:
                 return True
@@ -351,13 +344,14 @@ class World:
         cfg = self.config
         queue = self.queue
         while True:
-            if self.t >= cfg.max_events:
-                self.terminated_by = "max_events"
-                break
             joining = len(self.families) < cfg.n_max
             if not joining and not queue:
                 # Every DO is in, none is wandering and none is queued to act.
+                # Tested before the cap: a run that drains at its cap is steady.
                 self.terminated_by = "steady_state"
+                break
+            if self.t >= cfg.max_events:
+                self.terminated_by = "max_events"
                 break
             intro_due = joining and self.t % cfg.intro_interval == 0
             self.t += 1

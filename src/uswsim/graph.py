@@ -183,7 +183,9 @@ def start_wander(do_id: int, graph: FriendshipGraph, connected_nodes: list[int],
     """Begin a wander at a uniformly chosen existing node.
 
     With an empty graph the DO joins outright and the state is already
-    connected.  ``connected_nodes`` must be sorted for determinism.
+    connected.  ``connected_nodes`` may be in any order that is fixed for
+    a given configuration, such as the engine's connection order; the
+    same order gives the same draw.
     """
     graph.add_node(do_id)
     if not connected_nodes:

@@ -23,7 +23,7 @@ class Family:
 
     __slots__ = ("do_id", "home_host", "r_min", "r_max", "copies",
                  "known_hosts", "believed_free", "pending",
-                 "chase_target", "connected", "intro_t")
+                 "chase_target", "intro_t")
 
     def __init__(self, do_id: int, home_host: int, r_min: int, r_max: int, intro_t: int):
         self.do_id = do_id
@@ -38,7 +38,6 @@ class Family:
         self.believed_free: dict[int, int] = {}
         self.pending = False                 # a survey-style attempt is queued
         self.chase_target: int | None = None # announced host awaiting a visit
-        self.connected = False
         self.intro_t = intro_t
 
     @property
@@ -59,10 +58,6 @@ class Host:
     @property
     def used(self) -> int:
         return len(self.foreign)
-
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self.foreign)
 
 
 class PlaceOutcome(enum.Enum):
@@ -210,10 +205,11 @@ def announce_new_host(family: Family, host_id: int, world) -> int:
 
     The news carries how much room the announcer saw left.  Friends below
     their r_max who hear of actual room go chase that host; a family keeps
-    at most one chase queued, retargeted by newer news.
+    at most one chase queued, retargeted by newer news.  Only a DO that has
+    linked has edges, so every friend told has joined the graph.
     """
     friends = sorted(world.graph.neighbors(family.do_id))
-    world.send_each(HOST_ANNOUNCE, family.do_id, friends)
+    world.send(HOST_ANNOUNCE, family.do_id, friends)
     observed = family.believed_free.get(host_id, 0)
     families = world.families
     wake = []
@@ -221,7 +217,7 @@ def announce_new_host(family: Family, host_id: int, world) -> int:
         other = families[friend]
         other.known_hosts.add(host_id)
         other.believed_free[host_id] = observed
-        if (observed > 0 and other.connected and len(other.copies) < other.r_max
+        if (observed > 0 and len(other.copies) < other.r_max
                 and host_id != other.home_host and host_id not in other.copies):
             if other.chase_target is None:
                 wake.append(friend)

@@ -4,8 +4,9 @@
 copies against hosts, slots against placements, and each message kind
 against the one it pairs with.  ``Instrumentation`` runs it during a run,
 together with the per-event sacrifice rules (``sacrifice_violations``), and
-``run_instrumented`` also checks a ``RecordingWorld``'s rows against its
-ledger at the end.
+``run_instrumented`` also checks, at the end, a ``RecordingWorld``'s rows
+against its ledger and the replayed copy trail against who holds each copy
+(``trail_violations``).
 """
 
 from ledger_views import RecordingWorld, kind_counts
@@ -19,11 +20,10 @@ def make_world(**overrides) -> RecordingWorld:
     return RecordingWorld(SimConfig(**defaults))
 
 
-def add_family(world, do, home, copies=(), r_min=None, r_max=None, connect=True):
-    """Register a family at ``home`` holding ``copies``, as a node of the graph."""
+def add_family(world, do, home, copies=(), r_min=None, r_max=None):
+    """Register a family at ``home`` holding ``copies``, as a joined node of the graph."""
     world.discover_host(home)
     fam = Family(do, home, r_min or world.config.r_min, r_max or world.config.r_max, 0)
-    fam.connected = connect
     world.register_family(fam)
     world.graph.add_node(do)
     for h in copies:
@@ -97,6 +97,30 @@ def recording_violations(world: RecordingWorld) -> list[str]:
     return [f"recorded rows and ledger counts differ by kind {off}"] if off else []
 
 
+def trail_violations(world) -> list[str]:
+    """Whether replaying ``World.copy_events`` from t = 0 gives exactly each
+    family's ``copies`` and each host's ``foreign``: every move adds a copy
+    not yet held or removes one that is, and the copies left are those held."""
+    held = set()
+    found = []
+    for t, do, host, delta in world.copy_events:
+        pair = (do, host)
+        if delta == 1 and pair not in held:
+            held.add(pair)
+        elif delta == -1 and pair in held:
+            held.remove(pair)
+        else:
+            found.append(f"trail moves {delta:+d} copy of family {do} on host {host} at t={t}")
+    by_family = {(do, h) for do, fam in world.families.items() for h in fam.copies}
+    by_host = {(do, host.host_id) for host in world.hosts.values() for do in host.foreign}
+    for side, actual in (("families' copies", by_family), ("hosts' foreign", by_host)):
+        if actual != held:
+            off = sorted(actual ^ held)
+            found.append(f"replayed trail and {side} differ in {len(off)} (do, host) "
+                         f"pairs, first {off[:3]}")
+    return found
+
+
 def sacrifice_violations(families, moves):
     """Copy moves of one event (its slice of ``World.copy_events``) that break
     the sacrifice rules, given ``families`` as the event left them.  A copy
@@ -129,7 +153,8 @@ class Instrumentation:
 
     Each event's slice of the copy trail is checked against the sacrifice
     rules; ``audit`` runs every 200 events and at each run end, where the
-    run's recorded message rows are also checked against its ledger.
+    run's recorded message rows are also checked against its ledger and its
+    copy trail against who holds each copy.
     """
 
     AUDIT_EVERY = 200
@@ -155,5 +180,5 @@ def run_instrumented(config, monitor) -> RecordingWorld:
         trail = world.copy_events
         monitor.after_event(world, trail[seen:])
         seen = len(trail)
-    monitor.violations += audit(world) + recording_violations(world)
+    monitor.violations += audit(world) + recording_violations(world) + trail_violations(world)
     return world

@@ -25,16 +25,14 @@ class RecordingWorld(World):
         self.rows: list[tuple[MessageKind, int, int, int]] = []
 
     def send(self, kind, frm, to):
-        super().send(kind, frm, to)
-        self.rows.append((kind, self.t, frm, to))
-
-    def send_each(self, kind, frm, to):
-        super().send_each(kind, frm, to)
+        World.send(self, kind, frm, to)
         t = self.t
-        if isinstance(frm, list):
+        if type(to) is list:
+            self.rows.extend((kind, t, frm, other) for other in to)
+        elif type(frm) is list:
             self.rows.extend((kind, t, other, to) for other in frm)
         else:
-            self.rows.extend((kind, t, frm, other) for other in to)
+            self.rows.append((kind, t, frm, to))
 
 
 def recorded_run(config) -> RecordingWorld:

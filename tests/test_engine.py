@@ -1,10 +1,11 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 import ledger_views
-from audit import add_family, audit, make_world
+from audit import add_family, audit, make_world, trail_violations
 from ledger_views import RecordingWorld, recorded_run
 from uswsim.analysis import emit_timeseries_csv, summary_dict
 from uswsim.engine import World, run
@@ -49,6 +50,20 @@ class TestRunBasics:
         assert result.terminated_by == "max_events"
         assert result.final_t == 200
 
+    def test_run_that_drains_at_the_cap_is_steady(self):
+        free = run(SimConfig(n_max=30, h_max=60, seed=5))
+        assert free.terminated_by == "steady_state"
+        capped = run(replace(free.config, max_events=free.final_t))
+        assert capped.terminated_by == "steady_state"
+        assert capped.steady_state_t == free.steady_state_t == free.final_t
+        want, got = summary_dict(free), summary_dict(capped)
+        assert got["config"].pop("max_events") == free.final_t
+        want["config"].pop("max_events")
+        assert got == want
+        cut = run(replace(free.config, max_events=free.final_t - 1))
+        assert cut.terminated_by == "max_events"
+        assert cut.steady_state_t is None
+
     @pytest.mark.parametrize("max_events, end", [(100_000, "steady_state"),
                                                  (437, "max_events")])
     def test_hook_sees_every_event_that_events_yields(self, max_events, end):
@@ -81,7 +96,8 @@ class TestConservation:
         SimConfig(n_max=80, h_max=160, seed=9, policy=PolicyKind.MOST),
     ], ids=["least", "moderate", "most", "most-n80"])
     def test_end_of_run_audit_is_clean(self, cfg):
-        assert audit(run(cfg)) == []
+        world = run(cfg)
+        assert audit(world) + trail_violations(world) == []
 
     def test_bin_sums_match_totals(self):
         result = recorded_run(SimConfig(n_max=50, h_max=100, seed=2))
@@ -231,9 +247,9 @@ class TestBulkSends:
         single.send(MessageKind.CONTACT, 1, 2)
         bulk.t = single.t = 250
         if fan_in:
-            bulk.send_each(kind, many, one)
+            bulk.send(kind, many, one)
         else:
-            bulk.send_each(kind, one, many)
+            bulk.send(kind, one, many)
         for other in many:
             single.send(kind, *((other, one) if fan_in else (one, other)))
         assert bulk.ledger.kind_counts == single.ledger.kind_counts
@@ -246,9 +262,9 @@ class TestBulkSends:
         world = RecordingWorld(SimConfig(n_max=2, h_max=2))
         world.t = 5
         if fan_in:
-            world.send_each(MessageKind.LINK_ACK, [], 1)
+            world.send(MessageKind.LINK_ACK, [], 1)
         else:
-            world.send_each(MessageKind.HOST_ANNOUNCE, 1, [])
+            world.send(MessageKind.HOST_ANNOUNCE, 1, [])
         assert world.ledger.kind_counts == {}
         assert world.ledger.total == len(world.rows) == 0
 
@@ -271,11 +287,11 @@ class TestBulkSends:
         world = RecordingWorld(SimConfig(n_max=2, h_max=2))
         args = ([2, 1, 3], 1) if fan_in else (1, [2, 1, 3])
         with pytest.raises(ValueError):
-            world.send_each(MessageKind.HOST_ANNOUNCE, *args)
+            world.send(MessageKind.HOST_ANNOUNCE, *args)
         assert world.ledger.kind_counts == {}
         assert world.ledger.total == len(world.rows) == 0
         # Host ids may repeat DO ids: a DO asking the host that shares its id.
-        world.send_each(MessageKind.COPY_REQUEST, 1, [2, 1, 3])
+        world.send(MessageKind.COPY_REQUEST, 1, [2, 1, 3])
         assert world.ledger.total == len(world.rows) == 3
 
 
