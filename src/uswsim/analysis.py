@@ -49,15 +49,25 @@ def tree_ring_layout(dos: list[int]) -> dict[int, tuple[int, int]]:
     return positions
 
 
+def _least_squares_slope(xs: list[float], ys: list[float]) -> float:
+    """Slope of the least-squares line through the points (xs[i], ys[i]),
+    by the closed form over mean-centred values: sum(dx * dy) / sum(dx**2).
+    The xs must not all be equal."""
+    mx = math.fsum(xs) / len(xs)
+    my = math.fsum(ys) / len(ys)
+    dxs = [x - mx for x in xs]
+    return (math.fsum(dx * (y - my) for dx, y in zip(dxs, ys))
+            / math.fsum(dx * dx for dx in dxs))
+
+
 def fit_growth_exponent(sweep: list[tuple[int, int]]) -> ScalingFit:
     """Least-squares slope of log(total) against log(size).
 
     Also fits the marginal cost per added DO from successive differences,
     against the geometric midpoint of each size interval; that slope is
-    None when fewer than two positive differences exist.
+    None when fewer than two positive differences exist, or when they all
+    share one midpoint.
     """
-    import numpy as np
-
     if len(sweep) < 3:
         raise ValueError("fit needs at least 3 sizes")
     sizes = [n for n, _ in sweep]
@@ -66,10 +76,7 @@ def fit_growth_exponent(sweep: list[tuple[int, int]]) -> ScalingFit:
         raise ValueError("sizes must be distinct")
     if any(t <= 0 for t in totals):
         raise ValueError("totals must be positive")
-    x = np.log(np.array(sizes, dtype=float))
-    y = np.log(np.array(totals, dtype=float))
-    a = np.vstack([x, np.ones_like(x)]).T
-    (slope, _), _, _, _ = np.linalg.lstsq(a, y, rcond=None)
+    slope = _least_squares_slope([math.log(n) for n in sizes], [math.log(t) for t in totals])
 
     marg_x, marg_y = [], []
     for (n1, t1), (n2, t2) in zip(sweep, sweep[1:]):
@@ -78,13 +85,9 @@ def fit_growth_exponent(sweep: list[tuple[int, int]]) -> ScalingFit:
             marg_x.append(math.log(math.sqrt(n1 * n2)))
             marg_y.append(math.log(dt))
     marginal = None
-    if len(marg_x) >= 2:
-        mx = np.array(marg_x)
-        my = np.array(marg_y)
-        ma = np.vstack([mx, np.ones_like(mx)]).T
-        (mslope, _), _, _, _ = np.linalg.lstsq(ma, my, rcond=None)
-        marginal = float(mslope)
-    return ScalingFit(sizes, totals, float(slope), marginal)
+    if len(set(marg_x)) >= 2:
+        marginal = _least_squares_slope(marg_x, marg_y)
+    return ScalingFit(sizes, totals, slope, marginal)
 
 
 CSV_HEADER = ("t,phase,effectiveness,cum_sent,"

@@ -230,8 +230,7 @@ class World:
         self.send(CONTACT_REPLY, visited, do)
         cap = 10 * max(len(self.graph.adj), 1)
         if wander_step(state, self.graph, self.config.link_probability, self.rng, cap):
-            edges = finalize_links(state, self.graph, self.config.extra_link_fraction, self.rng)
-            friends = [v for _, v in edges]
+            friends = finalize_links(state, self.graph, self.config.extra_link_fraction, self.rng)
             self.send(LINK_REQUEST, do, friends)
             self.send(LINK_ACK, friends, do)
             self._connect(self.families[do])

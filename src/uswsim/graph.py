@@ -11,7 +11,7 @@ candidate links are what give the graph its high clustering.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, islice
 from random import Random
 from typing import TYPE_CHECKING
 
@@ -33,9 +33,11 @@ GATHER_BLOCK = 8192
 # ceil(nodes / 64) uint64 words each per edge, 256 KiB each at 2000 nodes.
 TRIANGLE_BLOCK = 1024
 
-# Most Mersenne Twister words uniform_random_graph draws at once, 32 KiB:
-# each batch turns its ~4k pairs into Python ints, so larger batches add
-# to peak memory (a 2000-node baseline needs ~100k words) and gain nothing.
+# Fewest Mersenne Twister words uniform_random_graph draws in a top-up,
+# 32 KiB.  Its first batch, 1.1 times the expected need, almost always
+# suffices (a 2000-node baseline draws ~107k words); a top-up draws as much
+# for the edges still missing, and at least this, since each top-up keys
+# every pair drawn so far again.
 DRAW_BATCH = 1 << 13
 
 # _csr turns neighbour ids into rows through a lookup table over the ids'
@@ -220,22 +222,23 @@ def wander_step(state: WanderState, graph: FriendshipGraph, link_probability: fl
 
 
 def finalize_links(state: WanderState, graph: FriendshipGraph,
-                   extra_link_fraction: float, rng: Random) -> list[tuple[int, int]]:
+                   extra_link_fraction: float, rng: Random) -> list[int]:
     """Create the first link plus extra friendships from gleaned candidates.
 
     Befriends ceil(fraction * remaining) distinct candidates, drawn without
-    replacement.  Returns every new edge including the first link.
+    replacement.  Returns every new friend, the first link first.  The
+    first link leaves ``state.candidates``: the state is spent once the
+    wanderer has linked.
     """
     if not state.connected:
         raise ValueError("finalize_links requires a just-connected wanderer")
     do = state.do_id
     first = state.current
-    new_edges: list[tuple[int, int]] = []
+    friends: list[int] = []
     if first is not None and graph.add_edge(do, first):
-        new_edges.append((do, first))
+        friends.append(first)
     remaining = state.candidates
     if first in state._candidate_set:
-        remaining = remaining.copy()
         remaining.remove(first)
     if remaining and extra_link_fraction > 0:
         k = math.ceil(extra_link_fraction * len(remaining))
@@ -246,8 +249,8 @@ def finalize_links(state: WanderState, graph: FriendshipGraph,
         for target in targets:
             adj[target].add(do)
         graph.edge_count += len(targets)
-        new_edges += [(do, target) for target in targets]
-    return new_edges
+        friends += targets
+    return friends
 
 
 def grow_graph(n: int, link_probability: float = 0.5, extra_link_fraction: float = 0.33,
@@ -303,16 +306,14 @@ def clustering_coefficient(graph: FriendshipGraph) -> float:
         closed[chunk] = np.bitwise_count(common).sum(axis=1)
 
     # A link v-w among u's neighbours closes triangle u-v-w, which edges
-    # u-v and u-w both count.  The terms are added one at a time in
-    # graph.adj order, as a plain float sum.
+    # u-v and u-w both count.  The terms are added left to right in
+    # graph.adj order by np.add.accumulate, as a plain float sum adds them.
     twice_links = np.bincount(us, closed, n) + np.bincount(vs, closed, n)
-    links_per_node = (twice_links.astype(np.int64) // 2).tolist()
-    total = 0.0
-    for k, links in zip(degrees.tolist(), links_per_node):
-        if k < 2:
-            continue
-        total += 2.0 * links / (k * (k - 1))
-    return total / n
+    links = twice_links.astype(np.int64) // 2
+    pairs = degrees * (degrees - 1)
+    terms = np.zeros(n)
+    np.divide(2.0 * links, pairs, out=terms, where=degrees >= 2)
+    return float(np.add.accumulate(terms)[-1]) / n
 
 
 def avg_path_length(graph: FriendshipGraph) -> tuple[float, bool]:
@@ -329,20 +330,28 @@ def avg_path_length(graph: FriendshipGraph) -> tuple[float, bool]:
     than listing the open rows' entries.  A sweep ends when no row is
     open.  On a disconnected graph the mean is taken over the largest
     component (on a tie, the one holding the smallest node id) and the
-    returned flag is True.
+    returned flag is True.  The component is found on the CSR over
+    ``graph.adj``'s order, the rows the clustering reads, and only a
+    disconnected graph's rows are renumbered to the component's.
     """
     import numpy as np
 
-    n = len(graph)
+    nodes = list(graph.adj)
+    n = len(nodes)
     if n == 0:
         raise ValueError("path length of an empty graph")
-    comp = _largest_component(graph)
+    degrees, indices = _csr(graph, nodes)
+    comp = _largest_component(nodes, degrees, indices)
     m = len(comp)
     disconnected = m < n
     if m == 1:
         return 0.0, disconnected
-
-    degrees, indices = _csr(graph, comp)
+    if disconnected:
+        starts = np.cumsum(degrees) - degrees
+        renumber = np.zeros(n, dtype=indices.dtype)
+        renumber[comp] = np.arange(m, dtype=indices.dtype)
+        indices = renumber[indices.take(_row_entries(comp, starts, degrees))]
+        degrees = degrees[comp]
     ends = np.cumsum(degrees)
     starts = ends - degrees
     # Source b of a block owns bit b % 64 of word b // 64.
@@ -385,8 +394,7 @@ def avg_path_length(graph: FriendshipGraph) -> tuple[float, bool]:
                 frontier = step
             else:
                 offsets = np.cumsum(row_degrees) - row_degrees
-                entries = np.repeat(starts[rows] - offsets, row_degrees)
-                entries += np.arange(len(entries))
+                entries = _row_entries(rows, starts, degrees)
                 step = _gather_or(frontier, indices.take(entries), offsets)
                 open_unseen = unseen.take(rows, axis=0)
                 step &= open_unseen
@@ -439,7 +447,10 @@ def _csr(graph: FriendshipGraph, nodes: list[int]) -> tuple[np.ndarray, np.ndarr
     itself be in ``nodes``; one that is not raises KeyError.
 
     The graph keeps the last CSR built, read-only, and hands it back while
-    ``nodes`` and their degrees are unchanged."""
+    ``nodes`` and their degrees are unchanged.  A CSR kept by
+    ``uniform_random_graph`` lists each row in drawing order, which may
+    differ from the iteration order of ``graph.adj[u]``; neither metric
+    depends on the order within a row."""
     import numpy as np
 
     n = len(nodes)
@@ -475,24 +486,55 @@ def _csr(graph: FriendshipGraph, nodes: list[int]) -> tuple[np.ndarray, np.ndarr
     return degrees, indices
 
 
-def _largest_component(graph: FriendshipGraph) -> list[int]:
-    """Sorted nodes of the largest component, the first one found on a tie
-    when components are visited from their smallest node up."""
-    adj = graph.adj
-    best: list[int] = []
-    seen: set[int] = set()
-    for root in graph.nodes():
-        if root in seen:
-            continue
-        seen.add(root)
-        members = [root]
-        for u in members:
-            new = adj[u] - seen
-            seen |= new
-            members += new
-        if len(members) > len(best):
+def _largest_component(nodes: list[int], degrees: np.ndarray,
+                       indices: np.ndarray) -> np.ndarray:
+    """Ascending rows of the largest component of the CSR over ``nodes``;
+    on a tie, the component holding the smallest node id.
+
+    Each component is found by a level-by-level breadth-first search over
+    a mask of the rows reached, from the first row no earlier search
+    reached.  A component of more than half the rows is the largest, so
+    the search stops there, after one pass on a connected graph."""
+    import numpy as np
+
+    def lowest(rows):
+        return min(map(nodes.__getitem__, rows.tolist()))
+
+    n = len(nodes)
+    starts = np.cumsum(degrees) - degrees
+    reached = np.zeros(n, dtype=bool)
+    best = None
+    root = 0
+    while True:
+        comp = np.zeros(n, dtype=bool)
+        comp[root] = True
+        rows = np.array([root])
+        while len(rows):
+            step = np.zeros(n, dtype=bool)
+            step[indices.take(_row_entries(rows, starts, degrees))] = True
+            step &= ~comp
+            comp |= step
+            rows = np.flatnonzero(step)
+        reached |= comp
+        members = np.flatnonzero(comp)
+        if (best is None or len(members) > len(best)
+                or len(members) == len(best) and lowest(members) < lowest(best)):
             best = members
-    return sorted(best)
+        if len(best) > n - np.count_nonzero(reached):
+            return best
+        root = int(np.argmin(reached))
+
+
+def _row_entries(rows: np.ndarray, starts: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Positions in the CSR's flat index array of the neighbour entries of
+    ``rows``, row after row."""
+    import numpy as np
+
+    row_degrees = degrees[rows]
+    offsets = np.cumsum(row_degrees) - row_degrees
+    entries = np.repeat(starts[rows] - offsets, row_degrees)
+    entries += np.arange(len(entries))
+    return entries
 
 
 def uniform_random_graph(n: int, m: int, rng: Random) -> FriendshipGraph:
@@ -508,48 +550,74 @@ def uniform_random_graph(n: int, m: int, rng: Random) -> FriendshipGraph:
     again while they are n or more, and ``getrandbits(32 * w)`` holds the
     next w such words, first word least significant.  That word order is
     CPython's; the per-pair oracle in the tests guards it.
+
+    The first m distinct pairs are picked in numpy, and each node's
+    neighbours, in drawing order, become both its set and its row of the
+    graph's kept CSR, so the metrics read the baseline without rebuilding
+    it.  The sets share one int object per node id.
     """
     import numpy as np
 
     limit = n * (n - 1) // 2
     if m > limit:
         raise ValueError(f"{m} edges exceed the {limit} possible on {n} nodes")
+    pairs = np.stack(_first_distinct_pairs(n, m, rng), axis=1).astype(np.min_scalar_type(n))
+    # Each edge u-v lists v in u's row and u in v's, in drawing order.  A
+    # stable sort of rows at most 16 bits wide is a radix sort.
+    owners = pairs.ravel()
+    indices = pairs[:, ::-1].ravel()[np.argsort(owners, kind="stable")]
+    degrees = np.bincount(owners, minlength=n)
     graph = FriendshipGraph()
-    adj = graph.adj
-    for u in range(1, n + 1):
-        adj[u] = set()
+    ids = list(range(1, n + 1))
+    neighbours = iter(np.array(ids, dtype=object)[indices].tolist())
+    graph.adj = {u: set(islice(neighbours, d)) for u, d in zip(ids, degrees.tolist())}
+    graph.edge_count = m
+    degrees.flags.writeable = indices.flags.writeable = False
+    graph._csr_memo = (ids, degrees, indices)
+    return graph
+
+
+def _first_distinct_pairs(n: int, m: int, rng: Random) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (node - 1) of both ends of the first m distinct non-loop pairs
+    of ``randrange(1, n + 1)`` draws, in drawing order, with rng left just
+    past the draw that completed the m-th.  The words are drawn in one
+    batch sized to suffice almost always, then in top-ups of at least
+    DRAW_BATCH words until m pairs are distinct.  A pair is keyed
+    ``min * n + max``, and ``np.unique`` finds each key's first draw."""
+    import numpy as np
+
+    if m == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    limit = n * (n - 1) // 2
     k = n.bit_length()
-    # A pair's first node, drawn in the batch before its second one.
-    pending = np.empty(0, dtype=np.uint32)
-    count = 0
-    while count < m:
-        state = rng.getstate()
+
+    def words_for(found):
         # 1.1 times the expected words for the edges still missing: with e
         # edges in, a pair is new with chance 2 * (limit - e) / n**2, a draw
         # is kept with chance n / 2**k, and the log approximates the sum of
         # 1 / (limit - e) over the missing e.
-        missing = math.log((limit - count + 0.5) / (limit - m + 0.5))
-        words = min(DRAW_BATCH, int(1.1 * n * (1 << k) * missing) + 64)
+        return int(1.1 * n * (1 << k) * math.log((limit - found + 0.5) / (limit - m + 0.5)))
+
+    state = rng.getstate()
+    words = words_for(0) + 64
+    batches = []
+    while True:
         bits = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        draws = np.frombuffer(bits, dtype="<u4") >> (32 - k)
+        batches.append(np.frombuffer(bits, dtype="<u4"))
+        draws = np.concatenate(batches) >> (32 - k)
         kept = np.flatnonzero(draws < n)
-        nodes = np.concatenate((pending, draws[kept] + 1))
-        pairs = len(nodes) // 2
-        # Words drawn up to and including each pair's second node.
-        ends = kept[1 - len(pending)::2] + 1
-        pending = nodes[2 * pairs:]
-        us, vs = nodes[0:2 * pairs:2], nodes[1:2 * pairs:2]
-        keep = us != vs
-        for u, v, end in zip(us[keep].tolist(), vs[keep].tolist(), ends[keep].tolist()):
-            row = adj[u]
-            if v not in row:
-                row.add(v)
-                adj[v].add(u)
-                count += 1
-                if count == m:
-                    # Leave rng just past the draw that completed the graph.
-                    rng.setstate(state)
-                    rng.getrandbits(32 * end)
-                    break
-    graph.edge_count = m
-    return graph
+        seconds = kept[1::2]
+        us = draws[kept[0:2 * len(seconds):2]].astype(np.int64)
+        vs = draws[seconds].astype(np.int64)
+        keys = np.minimum(us, vs) * n + np.maximum(us, vs)
+        keys[us == vs] = -1
+        _, first = np.unique(keys, return_index=True)
+        first = first[keys[first] >= 0]
+        if len(first) >= m:
+            break
+        words = max(DRAW_BATCH, words_for(len(first)))
+    picked = np.sort(first)[:m]
+    # Rewind, then redraw the words up to the m-th pair's second node.
+    rng.setstate(state)
+    rng.getrandbits(32 * (int(seconds[picked[-1]]) + 1))
+    return us[picked], vs[picked]

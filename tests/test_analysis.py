@@ -1,7 +1,10 @@
 import json
+import math
 import re
 from pathlib import Path
+from random import Random
 
+import numpy as np
 import pytest
 
 from audit import add_family, make_world
@@ -102,6 +105,35 @@ class TestFitGrowthExponent:
     def test_rejects_duplicate_sizes(self):
         with pytest.raises(ValueError):
             fit_growth_exponent([(10, 5), (10, 6), (30, 9)])
+
+    def test_matches_numpy_least_squares(self):
+        # 50 random sweeps of 3-8 sizes up to 5000, totals growing as
+        # size**e with 2% noise, against np.linalg.lstsq on the same logs.
+        rng = Random(27)
+        for _ in range(50):
+            sizes = sorted(rng.sample(range(10, 5001), rng.randint(3, 8)))
+            e = rng.uniform(1.5, 2.5)
+            sweep = [(n, round(5 * n ** e * rng.uniform(0.98, 1.02))) for n in sizes]
+            fit = fit_growth_exponent(sweep)
+            slope = lstsq_slope([math.log(n) for n, _ in sweep], [math.log(t) for _, t in sweep])
+            assert math.isclose(fit.slope, slope, rel_tol=1e-12), sweep
+            marginal = [(math.log(math.sqrt(n1 * n2)), math.log((t2 - t1) / (n2 - n1)))
+                        for (n1, t1), (n2, t2) in zip(sweep, sweep[1:]) if t2 > t1]
+            if len(marginal) < 2:
+                assert fit.marginal_slope is None, sweep
+            else:
+                expected = lstsq_slope([x for x, _ in marginal], [y for _, y in marginal])
+                assert math.isclose(fit.marginal_slope, expected, rel_tol=1e-12), sweep
+
+    def test_marginal_slope_none_when_differences_share_a_midpoint(self):
+        # The two positive differences, 2 -> 8 and 1 -> 16, both sit at 4.
+        fit = fit_growth_exponent([(2, 10), (8, 50), (1, 60), (16, 200)])
+        assert fit.marginal_slope is None
+
+
+def lstsq_slope(xs, ys):
+    a = np.vstack([xs, np.ones(len(xs))]).T
+    return float(np.linalg.lstsq(a, np.array(ys), rcond=None)[0][0])
 
 
 @pytest.fixture(scope="module")

@@ -446,8 +446,8 @@ class TestParallelJobs:
         assert _worker_count(None, 9) == 4
 
 
-# The calls that need numpy, on small inputs.  They run in the pytest
-# process and in the child below, and must give the same values.
+# The calls that need numpy, and the scaling fit, on small inputs.  They run
+# in the pytest process and in the child below, and must give the same values.
 NUMPY_CALLS = """
 from random import Random
 from uswsim.analysis import fit_growth_exponent
@@ -459,10 +459,10 @@ values = [clustering_coefficient(grown), avg_path_length(grown), baseline.edges(
           clustering_coefficient(baseline), fit.slope, fit.marginal_slope]
 """
 
-# Runs run, compare --jobs 1 and analyze in a fresh interpreter, notes which
-# heavy modules they loaded, then makes the numpy calls.  Last, sweep --jobs 1
-# runs, which loads numpy for its fit but must not load multiprocessing.  The
-# last stdout line is the JSON result.
+# Runs run, compare --jobs 1 and analyze in a fresh interpreter and notes
+# which heavy modules they loaded.  Then sweep --jobs 1 runs, which must load
+# neither numpy (its fit is plain Python) nor multiprocessing.  Last come the
+# numpy calls.  The last stdout line is the JSON result.
 COLD_START = """
 import json, sys
 src, out, fast, heavy = sys.argv[1], sys.argv[2], json.loads(sys.argv[3]), sys.argv[4:]
@@ -474,11 +474,11 @@ assert main(["compare", "--policies", "least,most", "--seeds", "1", "--jobs", "1
              "--out-dir", out]) == 0
 assert main(["analyze", out + "/run_least_n30_seed3.json"]) == 0
 loaded = [name for name in heavy if name in sys.modules]
-""" + NUMPY_CALLS + """
-numpy_after = "numpy" in sys.modules
 assert main(["sweep", "--sizes", "5,10,20", "--h-max", "60", "--jobs", "1",
              "--out-dir", out]) == 0
-loaded_by_sweep = [name for name in heavy if name != "numpy" and name in sys.modules]
+loaded_by_sweep = [name for name in heavy if name in sys.modules]
+""" + NUMPY_CALLS + """
+numpy_after = "numpy" in sys.modules
 print(json.dumps({"loaded": loaded, "numpy_after": numpy_after, "values": values,
                   "loaded_by_sweep": loaded_by_sweep}))
 """

@@ -168,8 +168,7 @@ class TestFinalizeLinks:
         g.add_node(1)
         state = start_wander(2, g, [1], Random(1))
         wander_step(state, g, 1.0, Random(1), max_steps=10)
-        edges = finalize_links(state, g, 0.5, Random(1))
-        assert edges == [(2, 1)]
+        assert finalize_links(state, g, 0.5, Random(1)) == [1]
 
     def test_half_fraction_of_four_candidates_gives_three_edges(self):
         # ceil(0.5 * 4) = 2 extras on top of the first link.
@@ -179,9 +178,9 @@ class TestFinalizeLinks:
         state.glean(g.neighbors(1))  # 2,3,4,5,6
         state.connected = True
         state.current = 2
-        edges = finalize_links(state, g, 0.5, Random(9))
-        assert len(edges) == 3
-        assert edges[0] == (7, 2)
+        friends = finalize_links(state, g, 0.5, Random(9))
+        assert len(friends) == 3
+        assert friends[0] == 2
         assert len(g.neighbors(7)) == 3
 
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 1.0])
@@ -196,10 +195,10 @@ class TestFinalizeLinks:
             state = WanderState(9, 2)
             state.glean({1, 3, 4, 5, 6, 7, 2})
             state.connected = True
-            edges = finalize(state, g, fraction, Random(seed))
-            for u, v in edges:
-                assert v in g.adj[u] and u in g.adj[v]
-            results.append((edges, g.edge_count, g.adj))
+            friends = finalize(state, g, fraction, Random(seed))
+            for v in friends:
+                assert v in g.adj[9] and 9 in g.adj[v]
+            results.append((friends, g.edge_count, g.adj))
         assert results[0] == results[1]
 
     def test_unconnected_state_rejected(self):
@@ -217,17 +216,17 @@ class TestFinalizeLinks:
 
 
 def finalize_links_oracle(state, graph, fraction, rng):
-    """finalize_links one add_edge at a time."""
+    """finalize_links one add_edge at a time: the new friends, first link first."""
     do, first = state.do_id, state.current
-    edges = []
+    friends = []
     if first is not None and graph.add_edge(do, first):
-        edges.append((do, first))
+        friends.append(first)
     remaining = [c for c in state.candidates if c != first]
     if remaining and fraction > 0:
         for target in rng.sample(remaining, math.ceil(fraction * len(remaining))):
             if graph.add_edge(do, target):
-                edges.append((do, target))
-    return edges
+                friends.append(target)
+    return friends
 
 
 class TestClusteringCoefficient:
@@ -357,7 +356,8 @@ class TestAvgPathLength:
                 nodes=[2000, *tree.adj]),
         }
         for name in list(cases)[-6:]:
-            assert len(_largest_component(cases[name])) > BFS_BLOCK, name
+            nodes = list(cases[name].adj)
+            assert len(_largest_component(nodes, *_csr(cases[name], nodes))) > BFS_BLOCK, name
         for name, graph in cases.items():
             assert avg_path_length(graph) == bfs_oracle(graph), name
 
@@ -415,8 +415,8 @@ class TestCsr:
         _, indices = _csr(g, nodes)
         with pytest.raises(ValueError):
             indices[0] = 0
-        # clustering_coefficient's graph.adj order is avg_path_length's
-        # sorted component on a connected graph grown from id 1 up.
+        # The kept CSR is found by value: on a graph grown from id 1 up,
+        # the sorted ids equal graph.adj's order.
         assert _csr(g, sorted(g.adj))[1] is indices
         # Another order, and one with the same degree sequence: two nodes
         # of equal degree swapped.
@@ -521,8 +521,10 @@ class TestUniformRandomGraph:
         (2, 1, 1), (3, 2, 2), (63, 252, 1), (64, 256, 2), (65, 260, 3),
         (129, 516, 4), (130, 520, 5), (2048, 8192, 6),
         (1, 0, 7), (50, 0, 8),
-        # Complete graphs, the larger two past the first batch of draws.
+        # Complete graphs, and complete graphs whose first batch of draws
+        # falls short: they need one, three and three top-ups.
         (3, 3, 9), (64, 2016, 10), (130, 8385, 11),
+        (10, 45, 1), (64, 2016, 31), (130, 8385, 8),
         # The 2000-node baseline of test_grown_graph_value_pinned:
         # grow_graph(2000, seed=12) has 47016 edges.
         (2000, 47016, 12 + 10_000),
@@ -537,6 +539,21 @@ class TestUniformRandomGraph:
         for u in g.adj:
             assert list(g.adj[u]) == list(expected.adj[u]), u
         assert rng.getstate() == oracle_rng.getstate()
+        # The kept CSR: each row holds the node's neighbours, a second
+        # _csr hands the same arrays back, and both metrics equal those
+        # of a fresh CSR built from the sets.
+        nodes = list(g.adj)
+        kept_nodes, degrees, indices = g._csr_memo
+        assert kept_nodes == nodes
+        starts = np.cumsum(degrees) - degrees
+        for i, u in enumerate(nodes):
+            row = indices[starts[i]:starts[i] + degrees[i]].tolist()
+            assert {nodes[r] for r in row} == g.adj[u], u
+        again = _csr(g, nodes)
+        assert again[0] is degrees and again[1] is indices
+        fresh = graph_of(g.edges(), nodes=nodes)
+        assert clustering_coefficient(g) == clustering_coefficient(fresh)
+        assert avg_path_length(g) == avg_path_length(fresh)
 
 
 def stream_contract_cases():
