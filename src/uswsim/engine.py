@@ -228,8 +228,7 @@ class World:
         visited = state.current
         self.send(CONTACT, do, visited)
         self.send(CONTACT_REPLY, visited, do)
-        cap = 10 * max(len(self.graph.adj), 1)
-        if wander_step(state, self.graph, self.config.link_probability, self.rng, cap):
+        if wander_step(state, self.graph, self.config.link_probability, self.rng):
             friends = finalize_links(state, self.graph, self.config.extra_link_fraction, self.rng)
             self.send(LINK_REQUEST, do, friends)
             self.send(LINK_ACK, friends, do)

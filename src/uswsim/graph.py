@@ -40,11 +40,6 @@ TRIANGLE_BLOCK = 1024
 # every pair drawn so far again.
 DRAW_BATCH = 1 << 13
 
-# _csr turns neighbour ids into rows through a lookup table over the ids'
-# span, one row an entry, while that span is at most this many ids per
-# node; sparser ids are looked up in a dict.
-LOOKUP_SPAN = 1024
-
 
 def _below(rng: Random, n: int) -> int:
     """``rng.randrange(n)``: the same result from the same ``getrandbits``
@@ -197,12 +192,14 @@ def start_wander(do_id: int, graph: FriendshipGraph, connected_nodes: list[int],
 
 
 def wander_step(state: WanderState, graph: FriendshipGraph, link_probability: float,
-                rng: Random, max_steps: int) -> bool:
+                rng: Random) -> bool:
     """One contact: glean the visited node's friends, then link or move on.
 
     Returns True when the wanderer linked to the visited node, False when
     it moved to a gleaned candidate.  Links unconditionally when there is
-    nowhere left to go or the safety cap on walk length is reached.
+    nowhere left to go, or when this step reaches the walk's safety cap,
+    ``10 * max(len(graph.adj), 1)``: ten steps per node of the graph as it
+    is at this step, the wanderer included.
     """
     if state.connected:
         raise ValueError("wanderer is already connected")
@@ -211,7 +208,8 @@ def wander_step(state: WanderState, graph: FriendshipGraph, link_probability: fl
     state.glean(friends)
     state.steps += 1
 
-    forced = (not state.candidates and not friends) or state.steps >= max_steps
+    forced = ((not state.candidates and not friends)
+              or state.steps >= 10 * max(len(graph.adj), 1))
     if forced or rng.random() < link_probability:
         state.connected = True
         return True
@@ -265,9 +263,8 @@ def grow_graph(n: int, link_probability: float = 0.5, extra_link_fraction: float
     connected: list[int] = []
     for do in range(1, n + 1):
         state = start_wander(do, graph, connected, rng)
-        max_steps = 10 * max(len(graph), 1)
         while not state.connected:
-            wander_step(state, graph, link_probability, rng, max_steps)
+            wander_step(state, graph, link_probability, rng)
         finalize_links(state, graph, extra_link_fraction, rng)
         connected.append(do)
     return graph
@@ -283,11 +280,10 @@ def clustering_coefficient(graph: FriendshipGraph) -> float:
     """
     import numpy as np
 
-    nodes = list(graph.adj)
-    n = len(nodes)
+    n = len(graph.adj)
     if n == 0:
         raise ValueError("clustering coefficient of an empty graph")
-    degrees, indices = _csr(graph, nodes)
+    degrees, indices = _csr(graph)
     rows = np.repeat(np.arange(n, dtype=np.int32), degrees)
     # Each undirected edge once, as u < v by row.  Only this half is kept,
     # to hold down peak memory.
@@ -340,7 +336,7 @@ def avg_path_length(graph: FriendshipGraph) -> tuple[float, bool]:
     n = len(nodes)
     if n == 0:
         raise ValueError("path length of an empty graph")
-    degrees, indices = _csr(graph, nodes)
+    degrees, indices = _csr(graph)
     comp = _largest_component(nodes, degrees, indices)
     m = len(comp)
     disconnected = m < n
@@ -437,50 +433,33 @@ def _gather_or(frontier: np.ndarray, neighbours: np.ndarray, offsets: np.ndarray
     return out
 
 
-def _csr(graph: FriendshipGraph, nodes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacency of ``nodes`` in compressed sparse rows: node ``nodes[i]``
-    is row i, and its neighbours' rows fill ``degrees[i]`` consecutive
-    entries of the flat index array, rows in order.  Rows are held in the
-    narrowest unsigned type that also holds ``len(nodes)``.  The neighbour
-    ids are read in one C-level pass and turned into rows through a table
-    indexed by id, with no Python frame per entry.  Every neighbour must
-    itself be in ``nodes``; one that is not raises KeyError.
+def _csr(graph: FriendshipGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency in compressed sparse rows, in ``graph.adj`` order: the
+    i-th node is row i, and its neighbours' rows fill ``degrees[i]``
+    consecutive entries of the flat index array, rows in order.  Rows are
+    held in the narrowest unsigned type that also holds the node count.
+    The neighbour ids are read in one C-level pass and turned into rows
+    through one dict from id to row, which serves every id layout, with
+    no Python frame per entry.  A neighbour that is not itself a node
+    raises KeyError.
 
     The graph keeps the last CSR built, read-only, and hands it back while
-    ``nodes`` and their degrees are unchanged.  A CSR kept by
+    the node order and degrees are unchanged.  A CSR kept by
     ``uniform_random_graph`` lists each row in drawing order, which may
     differ from the iteration order of ``graph.adj[u]``; neither metric
     depends on the order within a row."""
     import numpy as np
 
+    nodes = list(graph.adj)
     n = len(nodes)
-    neighbour_sets = list(map(graph.adj.__getitem__, nodes))
+    neighbour_sets = list(graph.adj.values())
     degrees = np.fromiter(map(len, neighbour_sets), dtype=np.int64, count=n)
     memo = graph._csr_memo
     if memo is not None and memo[0] == nodes and np.array_equal(memo[1], degrees):
         return memo[1], memo[2]
-    count = int(degrees.sum())
-    neighbours = chain.from_iterable(neighbour_sets)
-    # The row type also holds n, which marks the table's ids that are not nodes.
-    row_type = np.min_scalar_type(n)
-    lo, hi = min(nodes, default=0), max(nodes, default=0)
-    if -(1 << 63) <= lo and hi < 1 << 63 and hi - lo <= LOOKUP_SPAN * n:
-        table = np.full(hi - lo + 1, n, dtype=row_type)
-        table[np.array(nodes, dtype=np.int64) - lo] = np.arange(n, dtype=row_type)
-        try:
-            ids = np.fromiter(neighbours, dtype=np.int64, count=count)
-        except OverflowError:
-            raise KeyError("a neighbour id is outside int64") from None
-        outside = (ids < lo) | (ids > hi)
-        if not outside.any():
-            ids -= lo
-            indices = table[ids]
-            outside = indices == n
-        if outside.any():
-            raise KeyError(list(chain.from_iterable(neighbour_sets))[outside.argmax()])
-    else:
-        row = dict(zip(nodes, range(n)))
-        indices = np.fromiter(map(row.__getitem__, neighbours), dtype=row_type, count=count)
+    row = dict(zip(nodes, range(n)))
+    indices = np.fromiter(map(row.__getitem__, chain.from_iterable(neighbour_sets)),
+                          dtype=np.min_scalar_type(n), count=int(degrees.sum()))
     degrees.flags.writeable = indices.flags.writeable = False
     graph._csr_memo = (nodes, degrees, indices)
     return degrees, indices

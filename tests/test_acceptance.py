@@ -171,9 +171,10 @@ def test_criterion_4b_marginal_cost_slope(feast_sweep):
             combined[n] = combined.get(n, 0) + total
     from uswsim.analysis import fit_growth_exponent
     agg = fit_growth_exponent(sorted(combined.items()))
+    slope = "None" if agg.marginal_slope is None else f"{agg.marginal_slope:.3f}"
     ok = verdict("4b", agg.marginal_slope is not None
                  and 0.7 <= agg.marginal_slope <= 1.3,
-                 f"marginal per-DO cost slope={agg.marginal_slope} (band [0.7, 1.3])")
+                 f"marginal per-DO cost slope={slope} (band [0.7, 1.3])")
     assert ok
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from uswsim.graph import (
     BFS_BLOCK,
-    LOOKUP_SPAN,
     FriendshipGraph,
     WanderState,
     avg_path_length,
@@ -102,7 +101,7 @@ class TestWandering:
     def test_certain_link_probability_links_first_step(self):
         g = graph_of([(1, 2)])
         state = start_wander(3, g, [1, 2], Random(7))
-        outcome = wander_step(state, g, 1.0, Random(7), max_steps=100)
+        outcome = wander_step(state, g, 1.0, Random(7))
         assert outcome is True
         assert state.connected
 
@@ -116,7 +115,7 @@ class TestWandering:
             state = start_wander(3, g, [1, 2], rng)
             steps = 0
             while not state.connected:
-                wander_step(state, g, 0.5, rng, max_steps=10_000)
+                wander_step(state, g, 0.5, rng)
                 steps += 1
             total += steps
         mean = total / trials
@@ -126,7 +125,7 @@ class TestWandering:
         g = graph_of([(1, 2), (1, 3), (2, 3)])
         state = start_wander(4, g, [1, 2, 3], Random(5))
         state.current = 1
-        wander_step(state, g, 0.0000001, Random(5), max_steps=100)
+        wander_step(state, g, 0.0000001, Random(5))
         assert state.candidates == sorted(set(state.candidates))
         assert 4 not in state.candidates
 
@@ -144,22 +143,32 @@ class TestWandering:
         g = FriendshipGraph()
         g.add_node(1)
         state = start_wander(2, g, [1], Random(3))
-        outcome = wander_step(state, g, 0.0000001, Random(3), max_steps=100)
+        outcome = wander_step(state, g, 0.0000001, Random(3))
         assert outcome is True
 
     def test_walk_cap_forces_link(self):
+        # The cap is ten steps per node, the wanderer included: 30 here.
         g = graph_of([(1, 2)])
         state = start_wander(3, g, [1, 2], Random(11))
-        outcome = wander_step(state, g, 1e-12, Random(11), max_steps=1)
+        state.steps = 10 * len(g.adj) - 1
+        outcome = wander_step(state, g, 1e-12, Random(11))
         assert outcome is True
+
+    def test_walk_below_cap_moves_on(self):
+        g = graph_of([(1, 2)])
+        state = start_wander(3, g, [1, 2], Random(11))
+        state.steps = 10 * len(g.adj) - 2
+        outcome = wander_step(state, g, 1e-12, Random(11))
+        assert outcome is False
+        assert not state.connected
 
     def test_connected_flag_flips_once(self):
         g = graph_of([(1, 2)])
         state = start_wander(3, g, [1, 2], Random(1))
         while not state.connected:
-            wander_step(state, g, 0.5, Random(1), max_steps=100)
+            wander_step(state, g, 0.5, Random(1))
         with pytest.raises(ValueError):
-            wander_step(state, g, 0.5, Random(1), max_steps=100)
+            wander_step(state, g, 0.5, Random(1))
 
 
 class TestFinalizeLinks:
@@ -167,7 +176,7 @@ class TestFinalizeLinks:
         g = FriendshipGraph()
         g.add_node(1)
         state = start_wander(2, g, [1], Random(1))
-        wander_step(state, g, 1.0, Random(1), max_steps=10)
+        wander_step(state, g, 1.0, Random(1))
         assert finalize_links(state, g, 0.5, Random(1)) == [1]
 
     def test_half_fraction_of_four_candidates_gives_three_edges(self):
@@ -357,7 +366,7 @@ class TestAvgPathLength:
         }
         for name in list(cases)[-6:]:
             nodes = list(cases[name].adj)
-            assert len(_largest_component(nodes, *_csr(cases[name], nodes))) > BFS_BLOCK, name
+            assert len(_largest_component(nodes, *_csr(cases[name]))) > BFS_BLOCK, name
         for name, graph in cases.items():
             assert avg_path_length(graph) == bfs_oracle(graph), name
 
@@ -379,55 +388,53 @@ class TestCsr:
         {u: u for u in range(1, 301)},
         {u: 3 * ((u * 37) % 300) + 2 for u in range(1, 301)},
         {u: -1000 * ((u * 37) % 300) for u in range(1, 301)},
-    ], ids=["contiguous", "dense-shuffled", "sparse-negative"])
+        None,
+    ], ids=["contiguous", "dense-shuffled", "sparse-negative", "beyond-int64"])
     def test_matches_dict_lookup(self, ids):
-        g = relabel(grow_graph(300, seed=3), ids)
+        if ids is None:
+            g = graph_of([(-(1 << 70), 0), (0, 1 << 70), (1 << 70, 5), (7, 8)])
+        else:
+            g = relabel(grow_graph(300, seed=3), ids)
         nodes = list(g.adj)
-        # Dense enough for the lookup table.
-        assert max(nodes) - min(nodes) <= LOOKUP_SPAN * len(nodes)
-        degrees, indices = _csr(g, nodes)
+        degrees, indices = _csr(g)
         row = {u: i for i, u in enumerate(nodes)}
-        assert indices.dtype == np.uint16
+        assert indices.dtype == (np.uint8 if ids is None else np.uint16)
         assert degrees.tolist() == [len(g.adj[u]) for u in nodes]
         assert indices.tolist() == [row[v] for u in nodes for v in g.adj[u]]
 
     @pytest.mark.parametrize("outside", [5, 0, 99, -3, 1 << 70])
     def test_neighbour_outside_nodes_raises(self, outside):
         # 5 lies between the nodes' ids, 0, 99 and -3 beyond them, and
-        # 2**70 beyond int64.
-        g = graph_of([(2, 4), (4, 6), (6, 8), (8, outside)])
+        # 2**70 beyond int64.  It joins node 8's set without becoming a node.
+        g = graph_of([(2, 4), (4, 6), (6, 8)])
+        g.adj[8].add(outside)
         with pytest.raises(KeyError):
-            _csr(g, [2, 4, 6, 8])
+            _csr(g)
 
-    def test_ids_too_sparse_for_the_table_use_a_dict(self):
-        g = graph_of([(-(1 << 70), 0), (0, 1 << 70), (1 << 70, 5), (7, 8)])
-        nodes = list(g.adj)
-        assert max(nodes) - min(nodes) > LOOKUP_SPAN * len(nodes)
-        degrees, indices = _csr(g, nodes)
-        assert degrees.tolist() == [1, 2, 2, 1, 1, 1]
-        assert indices.tolist() == [1, 0, 2, 1, 3, 2, 5, 4]
-        with pytest.raises(KeyError):
-            _csr(g, nodes[:3])
+    def test_second_call_returns_the_kept_read_only_arrays(self):
+        g = grow_graph(300, seed=3)
+        degrees, indices = _csr(g)
+        for array in (degrees, indices):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        again = _csr(g)
+        assert again[0] is degrees and again[1] is indices
 
-    def test_kept_csr_is_reused_for_the_same_nodes_only(self):
+    def test_kept_csr_follows_node_order(self):
+        # graph.adj reordered after a build: first with the same degree
+        # sequence, two nodes of equal degree swapped, then shuffled.
         g = grow_graph(300, seed=3)
         nodes = list(g.adj)
-        _, indices = _csr(g, nodes)
-        with pytest.raises(ValueError):
-            indices[0] = 0
-        # The kept CSR is found by value: on a graph grown from id 1 up,
-        # the sorted ids equal graph.adj's order.
-        assert _csr(g, sorted(g.adj))[1] is indices
-        # Another order, and one with the same degree sequence: two nodes
-        # of equal degree swapped.
-        shuffled = nodes.copy()
-        Random(1).shuffle(shuffled)
+        _csr(g)
         u, w = next((u, w) for u in nodes for w in nodes
                     if u < w and len(g.adj[u]) == len(g.adj[w]))
         swapped = [{u: w, w: u}.get(x, x) for x in nodes]
-        for order in (shuffled, swapped, nodes):
+        shuffled = nodes.copy()
+        Random(1).shuffle(shuffled)
+        for order in (swapped, shuffled, nodes):
+            g.adj = {x: g.adj[x] for x in order}
             row = {x: i for i, x in enumerate(order)}
-            assert _csr(g, order)[1].tolist() == [row[v] for x in order for v in g.adj[x]]
+            assert _csr(g)[1].tolist() == [row[v] for x in order for v in g.adj[x]]
 
     @pytest.mark.parametrize("change", ["triangle-edge", "isolated-node", "edge-to-new-node"])
     def test_metrics_follow_changes_after_a_measurement(self, change):
@@ -549,7 +556,7 @@ class TestUniformRandomGraph:
         for i, u in enumerate(nodes):
             row = indices[starts[i]:starts[i] + degrees[i]].tolist()
             assert {nodes[r] for r in row} == g.adj[u], u
-        again = _csr(g, nodes)
+        again = _csr(g)
         assert again[0] is degrees and again[1] is indices
         fresh = graph_of(g.edges(), nodes=nodes)
         assert clustering_coefficient(g) == clustering_coefficient(fresh)
@@ -629,7 +636,7 @@ class TestWanderSequence:
             state = start_wander(3, g, [1, 2], rng)
             outcomes = []
             while not state.connected:
-                outcomes.append(wander_step(state, g, 0.5, rng, max_steps=50))
+                outcomes.append(wander_step(state, g, 0.5, rng))
             if outcomes == [False, True]:  # moved, then linked
                 assert g.has_edge(3, state.current) is False  # link not yet made
                 finalize_links(state, g, 0.30, rng)

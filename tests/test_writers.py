@@ -2,11 +2,13 @@
 
 The message counts, who holds each copy, who is still wandering and which
 families exist are each changed by one method of ``World``; everything
-else reads them.  This test parses ``src/uswsim/*.py`` and lists, per
-attribute name, every function that changes it: an assignment or ``del``
-through it (``x.attr[k] = v``, ``x.attr += n``, ``x.attr = v`` outside
-``__init__``) or a call of a mutating method on it (``x.attr.add(v)``).  A
-local name bound to ``x.attr`` counts as the attribute itself.
+else reads them.  The graph's adjacency, edge count and kept CSR have a
+fixed set of writers, none of which removes an edge.  This test parses
+``src/uswsim/*.py`` and lists, per attribute name, every function that
+changes it: an assignment or ``del`` through it (``x.attr[k] = v``,
+``x.attr += n``, ``x.attr = v`` outside ``__init__``) or a call of a
+mutating method on it (``x.attr.add(v)``).  A local name bound to
+``x.attr`` counts as the attribute itself.
 """
 
 import ast
@@ -24,6 +26,15 @@ ONE_WRITER = {
     "foreign": {"World.note_copy"},
     "wanderers": {"World.introduce_do", "World._connect"},
     "families": {"World.register_family"},
+}
+
+# A graph's kept CSR is handed back while its node order and degrees hold,
+# which is sound only because no code removes an edge or a node.
+GRAPH_WRITERS = {
+    "adj": {"FriendshipGraph.add_node", "FriendshipGraph.add_edge", "finalize_links",
+            "uniform_random_graph"},
+    "edge_count": {"FriendshipGraph.add_edge", "finalize_links", "uniform_random_graph"},
+    "_csr_memo": {"_csr", "uniform_random_graph"},
 }
 
 
@@ -122,6 +133,11 @@ def writers() -> dict[str, set[str]]:
 def test_each_run_fact_has_one_writer():
     found = writers()
     assert {attr: found.get(attr, set()) for attr in ONE_WRITER} == ONE_WRITER
+
+
+def test_graph_writers_only_add():
+    found = writers()
+    assert {attr: found.get(attr, set()) for attr in GRAPH_WRITERS} == GRAPH_WRITERS
 
 
 def test_scanner_sees_each_kind_of_write():
