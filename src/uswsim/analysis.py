@@ -118,7 +118,6 @@ def summary_dict(result: World) -> dict:
     # run() always samples a last bin at final_t, over every family.
     none_made, partial, at_min, at_max = result.status_series[-1]
     full = sum(1 for h in hosts.values() if h.used == h.capacity)
-    white = sum(1 for h in hosts.values() if h.used == 0)
     ledger = result.ledger
     growth = ledger.growth_messages
     cfg = result.config
@@ -145,7 +144,7 @@ def summary_dict(result: World) -> dict:
             "undiscovered": h_max - len(hosts),
             "full": full,
             "with_unused_capacity": len(hosts) - full,
-            "holding_no_copies": white,
+            "holding_no_copies": result.host_band_counts["white"],
         },
         "graph_edges": result.graph.edge_count,
         "copies_held": sum(f.copy_count for f in result.families.values()),

@@ -269,8 +269,8 @@ def cmd_run(args) -> int:
 
 def compare_policies(policies, base_config: SimConfig, seeds, jobs=None):
     """Per-policy medians over a shared seed set, plus the Most/Moderate
-    message ratio when both are present.  The runs go to ``jobs`` worker
-    processes; None means every usable core."""
+    message ratio when both are present (None when Moderate's is 0).  The
+    runs go to ``jobs`` worker processes; None means every usable core."""
     configs = [(pol, replace(base_config, policy=pol, seed=s))
                for pol in policies for s in seeds]
     summaries = _map_members(_run_worker, [c for _, c in configs], jobs)
@@ -293,9 +293,9 @@ def compare_policies(policies, base_config: SimConfig, seeds, jobs=None):
         }
     report = {"policies": table, "seed_count": len(seeds)}
     if "most" in table and "moderate" in table:
+        moderate = table["moderate"]["median_total_messages"]
         report["most_over_moderate_messages"] = round(
-            table["most"]["median_total_messages"]
-            / table["moderate"]["median_total_messages"], 6)
+            table["most"]["median_total_messages"] / moderate, 6) if moderate else None
     return report
 
 
@@ -329,7 +329,7 @@ def cmd_compare(args) -> int:
               f"{row['median_final_effectiveness']:>8.4f} "
               f"{row['median_hosts_with_unused_capacity']:>13.0f}")
     if "most_over_moderate_messages" in report:
-        print(f"message ratio most/moderate: {report['most_over_moderate_messages']:.3f}")
+        print(f"message ratio most/moderate: {_dash(report['most_over_moderate_messages'], '.3f')}")
     return 0
 
 
@@ -399,16 +399,26 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    """Print one row per summary.  Every input is read and its row made
+    first, so a bad one fails the command, by name, before any output."""
     rows = []
     for path in args.inputs:
-        with open(path, encoding="utf-8") as fh:
-            rows.append((path, json.load(fh)))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                summ = json.load(fh)
+        except OSError as exc:
+            raise RuntimeError(f"{path}: cannot read summary: {exc.strerror}") from exc
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise RuntimeError(f"{path}: summary is not valid JSON: {exc}") from exc
+        try:
+            rows.append(f"{os.path.basename(path):>40} {summ['config']['policy']:>10} "
+                        f"{_dash(summ['steady_state_t']):>9} "
+                        f"{summ['messages']['total']:>9} {summ['final_effectiveness']:>8.4f}")
+        except (LookupError, TypeError, ValueError) as exc:
+            raise RuntimeError(f"{path}: not a run summary with config.policy, steady_state_t, "
+                               f"messages.total and final_effectiveness: {exc!r}") from exc
     print(f"{'file':>40} {'policy':>10} {'steady_t':>9} {'messages':>9} {'effect.':>8}")
-    for path, summ in rows:
-        cfg = summ["config"]
-        print(f"{os.path.basename(path):>40} {cfg['policy']:>10} "
-              f"{_dash(summ['steady_state_t']):>9} "
-              f"{summ['messages']['total']:>9} {summ['final_effectiveness']:>8.4f}")
+    print(*rows, sep="\n")
     return 0
 
 

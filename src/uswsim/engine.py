@@ -102,10 +102,6 @@ class World:
         # The copy trail, for snapshot reconstruction.
         self.copy_events: list[tuple[int, int, int, int]] = []
 
-        self.placements = 0
-        self.sacrifices = 0
-        self.denials = 0
-
         # Per-bin series.
         self.bin_ts: list[int] = []
         self.status_series: list[tuple[float, float, float, float]] = []
@@ -126,6 +122,19 @@ class World:
     @property
     def final_effectiveness(self) -> float:
         return self.effectiveness_series[-1] if self.effectiveness_series else 0.0
+
+    # How copy requests ended: the ledger's acks, denials and directives.
+    @property
+    def placements(self) -> int:
+        return self.ledger.counts[MessageKind.COPY_ACK.code]
+
+    @property
+    def denials(self) -> int:
+        return self.ledger.counts[MessageKind.COPY_DENY.code]
+
+    @property
+    def sacrifices(self) -> int:
+        return self.ledger.counts[MessageKind.SACRIFICE_DIRECTIVE.code]
 
     # ----- ledger / bookkeeping hooks used by preservation ---------------
 
@@ -153,7 +162,6 @@ class World:
         if delta > 0:
             fam.copies.add(host.host_id)
             host.foreign.add(fam.do_id)
-            self.placements += 1
         else:
             fam.copies.remove(host.host_id)
             host.foreign.remove(fam.do_id)
@@ -170,7 +178,7 @@ class World:
         self.copy_events.append((self.t, fam.do_id, host.host_id, delta))
 
     def note_sacrifice(self, donor: int):
-        self.sacrifices += 1
+        """Wake a donor that gave up a copy, so it replenishes later."""
         donor_fam = self.families[donor]
         if not donor_fam.pending:
             donor_fam.pending = True
@@ -241,15 +249,11 @@ class World:
 
         A full host may make room for a family below its r_min by a
         sacrifice (``try_sacrifice``); any other request gets a plain yes or
-        no (``place_copy``).  Both send the exchange; a no counts a denial."""
+        no (``place_copy``).  Both send the whole exchange."""
         host = self.hosts[host_id]
         if len(host.foreign) >= host.capacity and len(fam.copies) < fam.r_min:
-            landed = try_sacrifice(fam, host_id, self) is not None
-        else:
-            landed = place_copy(fam, host_id, self) is PLACED
-        if not landed:
-            self.denials += 1
-        return landed
+            return try_sacrifice(fam, host_id, self) is not None
+        return place_copy(fam, host_id, self) is PLACED
 
     def _process_place(self, do: int, first: bool):
         """Survey attempt over the candidate list, best believed host first.

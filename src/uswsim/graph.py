@@ -33,13 +33,6 @@ GATHER_BLOCK = 8192
 # ceil(nodes / 64) uint64 words each per edge, 256 KiB each at 2000 nodes.
 TRIANGLE_BLOCK = 1024
 
-# Fewest Mersenne Twister words uniform_random_graph draws in a top-up,
-# 32 KiB.  Its first batch, 1.1 times the expected need, almost always
-# suffices (a 2000-node baseline draws ~107k words); a top-up draws as much
-# for the edges still missing, and at least this, since each top-up keys
-# every pair drawn so far again.
-DRAW_BATCH = 1 << 13
-
 
 def _below(rng: Random, n: int) -> int:
     """``rng.randrange(n)``: the same result from the same ``getrandbits``
@@ -559,26 +552,22 @@ def uniform_random_graph(n: int, m: int, rng: Random) -> FriendshipGraph:
 def _first_distinct_pairs(n: int, m: int, rng: Random) -> tuple[np.ndarray, np.ndarray]:
     """Rows (node - 1) of both ends of the first m distinct non-loop pairs
     of ``randrange(1, n + 1)`` draws, in drawing order, with rng left just
-    past the draw that completed the m-th.  The words are drawn in one
-    batch sized to suffice almost always, then in top-ups of at least
-    DRAW_BATCH words until m pairs are distinct.  A pair is keyed
-    ``min * n + max``, and ``np.unique`` finds each key's first draw."""
+    past the draw that completed the m-th.  The words are drawn in a batch
+    sized to suffice almost always, and in as many again until m pairs are
+    distinct.  A pair is keyed ``min * n + max``, and ``np.unique`` finds
+    each key's first draw."""
     import numpy as np
 
     if m == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     limit = n * (n - 1) // 2
     k = n.bit_length()
-
-    def words_for(found):
-        # 1.1 times the expected words for the edges still missing: with e
-        # edges in, a pair is new with chance 2 * (limit - e) / n**2, a draw
-        # is kept with chance n / 2**k, and the log approximates the sum of
-        # 1 / (limit - e) over the missing e.
-        return int(1.1 * n * (1 << k) * math.log((limit - found + 0.5) / (limit - m + 0.5)))
-
+    # 1.1 times the expected words, plus 64: with e edges in, a pair is new
+    # with chance 2 * (limit - e) / n**2, a draw is kept with chance
+    # n / 2**k, and the log approximates the sum of 1 / (limit - e) over
+    # the m edges.
+    words = int(1.1 * n * (1 << k) * math.log((limit + 0.5) / (limit - m + 0.5))) + 64
     state = rng.getstate()
-    words = words_for(0) + 64
     batches = []
     while True:
         bits = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
@@ -594,7 +583,6 @@ def _first_distinct_pairs(n: int, m: int, rng: Random) -> tuple[np.ndarray, np.n
         first = first[keys[first] >= 0]
         if len(first) >= m:
             break
-        words = max(DRAW_BATCH, words_for(len(first)))
     picked = np.sort(first)[:m]
     # Rewind, then redraw the words up to the m-th pair's second node.
     rng.setstate(state)

@@ -212,7 +212,6 @@ def announce_new_host(family: Family, host_id: int, world) -> int:
     world.send(HOST_ANNOUNCE, family.do_id, friends)
     observed = family.believed_free.get(host_id, 0)
     families = world.families
-    wake = []
     for friend in friends:
         other = families[friend]
         other.known_hosts.add(host_id)
@@ -220,8 +219,6 @@ def announce_new_host(family: Family, host_id: int, world) -> int:
         if (observed > 0 and len(other.copies) < other.r_max
                 and host_id != other.home_host and host_id not in other.copies):
             if other.chase_target is None:
-                wake.append(friend)
+                world.enqueue_chase(friend)
             other.chase_target = host_id
-    for friend in wake:
-        world.enqueue_chase(friend)
     return len(friends)

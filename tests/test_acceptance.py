@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Heavy fixtures are session-scoped and shared: the 20-seed three-policy
-reference batch feeds criteria 1, 2, 3, 5 and 7.  Each criterion prints
+reference batch feeds criteria 1, 2, 3, 5, 7 and 10.  Each criterion prints
 one PASS/FAIL line with the measured values (run pytest with -s to see
 them inline).  Criteria known to be unattainable under this design are
 marked strict-xfail, with the reason stating why the design cannot reach them.
@@ -58,6 +58,8 @@ def summarize(result):
         "messages": result.ledger.total,
         "effectiveness": result.final_effectiveness,
         "zero_copy": sum(1 for f in fams.values() if f.copy_count == 0) / n,
+        "slot_use": sum(f.copy_count for f in fams.values())
+        / (len(result.hosts) * result.config.host_capacity),
         "sent_bins_mid": sent_bins.get(result.config.n_max // 2, {}),
         "sent_bins_first": sent_bins.get(1, {}),
         "terminated_by": result.terminated_by,
@@ -136,6 +138,26 @@ def test_criterion_3_least_aggressive_failure_band(reference_batch):
     ok = verdict("3", gap >= 0.10,
                  f"zero-copy fraction least={z[PolicyKind.LEAST]:.3f} "
                  f"most={z[PolicyKind.MOST]:.3f} gap={gap:.3f} (need >= 0.10)")
+    assert ok
+
+
+def test_criterion_10_slot_use_order(reference_batch):
+    """The abstract's resource claim: the most aggressive policy makes the
+    best use of distributed host resources.
+
+    Statistic, fixed before the verdict: per run, the slots in use at the
+    run's end, ``copies_held / (hosts.discovered * host_capacity)``; the
+    criterion passes if and only if its medians over seeds 1-20 order
+    most > moderate > least.  This is a claim about quiescence, where
+    ``run`` stops: continued to the fixed point (ROADMAP direction 2),
+    every policy uses 0.997-0.998 of the discovered slots.
+    """
+    stats = reference_batch["stats"]
+    use = {p: med([r["slot_use"] for r in stats[p]]) for p in POLICIES}
+    ok = verdict("10", use[PolicyKind.MOST] > use[PolicyKind.MODERATE] > use[PolicyKind.LEAST],
+                 f"median slot use most={use[PolicyKind.MOST]:.3f} "
+                 f"moderate={use[PolicyKind.MODERATE]:.3f} least={use[PolicyKind.LEAST]:.3f} "
+                 f"(need most > moderate > least)")
     assert ok
 
 
@@ -313,12 +335,23 @@ def test_pairing_audit_flags_unbalanced_ledgers():
     world.send(MessageKind.LINK_ACK, 2, 1)
     world.send(MessageKind.COPY_REQUEST, 1, 3)
     world.send(MessageKind.COPY_ACK, 3, 1)
-    world.send(MessageKind.SACRIFICE_DIRECTIVE, 3, 2)
+    world.send(MessageKind.COPY_DENY, 3, 1)
+
+    def broken():
+        return [v.split(": ")[1].split()[0] for v in pairing_violations(world)]
+
+    # A contact with no reply, a link with no edge and a request answered twice.
+    assert broken() == ["contact", "link_request", "copy_request"]
+    world.send(MessageKind.CONTACT_REPLY, 2, 1)
+    assert broken() == ["link_request", "copy_request"]
     world.graph.add_edge(1, 2)
-    world.denials = 1
-    found = pairing_violations(world)
-    assert [v.split(": ")[1].split()[0] for v in found] == [
-        "contact", "copy_ack", "copy_deny", "sacrifice_directive"]
+    assert broken() == ["copy_request"]
+    world.send(MessageKind.COPY_REQUEST, 2, 3)
+    assert broken() == []
+    # A sacrifice directive pairs with no message; audit's conservation
+    # check ties it to the copies held.
+    world.send(MessageKind.SACRIFICE_DIRECTIVE, 3, 2)
+    assert broken() == []
     assert recording_violations(world) == []
     # A world whose rows missed the last message disagrees with the ledger's kinds.
     world.rows.pop()
@@ -353,11 +386,14 @@ def test_audit_flags_family_that_lost_a_copy():
 
 def test_audit_flags_copies_off_the_placement_count():
     world = run(SimConfig(n_max=30, h_max=60, seed=3))
-    world.placements += 1
+    counts = world.ledger.counts
+    counts[MessageKind.COPY_ACK.code] += 1
+    requests, acks, denials = (counts[MessageKind.COPY_REQUEST.code], world.placements,
+                               world.denials)
     assert audit(world) == [
         "copy/slot sums diverged",
-        f"message pairing broke: copy_ack {world.placements - 1} "
-        f"!= placements {world.placements}"]
+        f"message pairing broke: copy_request {requests} != copy_ack {acks} "
+        f"+ copy_deny {denials}"]
 
 
 @pytest.mark.parametrize("moves, after, found", [

@@ -13,6 +13,7 @@ from uswsim.cli import (
     CONFIG_TABLE,
     _worker_count,
     build_parser,
+    compare_policies,
     config_from_args,
     main,
     sweep_sizes,
@@ -295,6 +296,20 @@ class TestCompareCommand:
         assert [line.split()[1] for line in table[1:3]] == ["-", "-"]
 
 
+    def test_zero_moderate_median_reports_no_ratio(self, tmp_path, capsys):
+        # A lone DO sends no message, so Moderate's median is 0.
+        report = compare_policies(list(PolicyKind), SimConfig(n_max=1, h_max=5), [1, 2],
+                                  jobs=1)
+        assert report["policies"]["moderate"]["median_total_messages"] == 0
+        assert report["most_over_moderate_messages"] is None
+        rc = main(["compare", "--n-max", "1", "--h-max", "5", "--seeds", "2", "--jobs", "1",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "message ratio most/moderate: -"
+        written = json.loads((tmp_path / "compare_n1_seeds2.json").read_text())
+        assert written == report
+
+
 @pytest.mark.parametrize("command", [["compare", "--seeds", "1", *FAST],
                                      ["sweep", "--sizes", "5,10,20", "--h-max", "60"]])
 def test_zero_jobs_rejected(tmp_path, command):
@@ -386,6 +401,33 @@ class TestAnalyzeCommand:
     def test_missing_input_is_runtime_failure(self):
         proc = invoke(["analyze", "/nonexistent/path.json"])
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read summary"),
+        ("{not json", "summary is not valid JSON"),
+        (b"\xff\xfe", "summary is not valid JSON"),
+        ("[1, 2]", "not a run summary"),
+        ('{"policies": {}, "seed_count": 2}', "not a run summary"),
+        ('{"config": {"policy": "least"}, "steady_state_t": 5, "messages": 7,'
+         ' "final_effectiveness": 0.5}', "not a run summary"),
+        ('{"config": {"policy": "least"}, "steady_state_t": 5, "messages": {"total": 7},'
+         ' "final_effectiveness": "high"}', "not a run summary"),
+    ], ids=["missing", "bad-json", "bad-utf8", "list", "compare-report", "messages-number",
+            "effectiveness-string"])
+    def test_bad_input_named_before_any_output(self, tmp_path, capsys, content, message):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(summary_dict(run(SimConfig(n_max=5, h_max=10)))))
+        bad = tmp_path / "bad.json"
+        if isinstance(content, str):
+            bad.write_text(content)
+        elif content is not None:
+            bad.write_bytes(content)
+        # The good file comes first: its row must not be printed either.
+        rc = main(["analyze", str(good), str(bad)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"uswsim: failed: {bad}: {message}")
 
 
 class TestInProcessMain:

@@ -529,7 +529,7 @@ class TestUniformRandomGraph:
         (129, 516, 4), (130, 520, 5), (2048, 8192, 6),
         (1, 0, 7), (50, 0, 8),
         # Complete graphs, and complete graphs whose first batch of draws
-        # falls short: they need one, three and three top-ups.
+        # falls short: each needs one top-up, as many words again.
         (3, 3, 9), (64, 2016, 10), (130, 8385, 11),
         (10, 45, 1), (64, 2016, 31), (130, 8385, 8),
         # The 2000-node baseline of test_grown_graph_value_pinned:

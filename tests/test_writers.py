@@ -2,7 +2,8 @@
 
 The message counts, who holds each copy, who is still wandering and which
 families exist are each changed by one method of ``World``; everything
-else reads them.  The graph's adjacency, edge count and kept CSR have a
+else reads them.  The counts of copies placed, denied and sacrificed are
+read-only views of the ledger's, stored nowhere.  The graph's adjacency, edge count and kept CSR have a
 fixed set of writers, none of which removes an edge.  This test parses
 ``src/uswsim/*.py`` and lists, per attribute name, every function that
 changes it: an assignment or ``del`` through it (``x.attr[k] = v``,
@@ -15,6 +16,7 @@ import ast
 from pathlib import Path
 
 import uswsim
+from uswsim.engine import World
 
 SRC = Path(uswsim.__file__).resolve().parent
 MUTATORS = {"add", "append", "clear", "difference_update", "discard", "extend",
@@ -133,6 +135,16 @@ def writers() -> dict[str, set[str]]:
 def test_each_run_fact_has_one_writer():
     found = writers()
     assert {attr: found.get(attr, set()) for attr in ONE_WRITER} == ONE_WRITER
+
+
+def test_copy_outcomes_are_read_from_the_ledger():
+    # How each copy request ended is counted once, by the ledger: these
+    # names are read-only views of its counts, and nothing stores them.
+    names = ("placements", "denials", "sacrifices")
+    views = {name: vars(World).get(name) for name in names}
+    assert all(isinstance(v, property) and v.fset is None for v in views.values()), views
+    found = writers()
+    assert {name: found.get(name, set()) for name in names} == dict.fromkeys(names, set())
 
 
 def test_graph_writers_only_add():
