@@ -256,18 +256,23 @@ class World:
         return place_copy(fam, host_id, self) is PLACED
 
     def _process_place(self, do: int, first: bool):
-        """Survey attempt over the candidate list, best believed host first.
+        """Survey attempt down the ``candidate_hosts`` ranking.
 
-        Candidates rank as ``candidate_hosts`` ranks them: hosts the family
-        has never heard about first, by id, then the ones it has heard
-        about by believed free slots, then by id.  The policy's desired
-        count is the contact budget for this event, passed as the ranking's
-        ``limit``: a Least family asks one host and lives with the answer,
-        an aggressive first connection keeps asking through denials until
-        its goal or its budget runs out.  Hosts the family already believes
-        full are not worth a message unless it is still short of r_min and
-        hoping for a sacrifice, so a settled family with no believed
-        openings stays quiet.
+        The policy's desired count is the contact budget, passed as the
+        ranking's ``limit``: a Least family asks one host and lives with the
+        answer, an aggressive first connection asks through denials until
+        its goal or budget runs out.  Hosts believed full are not worth a
+        message unless the family is short of r_min and hoping for a
+        sacrifice, so a settled family with no believed openings stays quiet.
+
+        A host is new, and announced once a copy lands, if the family holds
+        no belief about it; that equals "never heard of it": (a) news and
+        contacts write beliefs; (b) only for hosts told of, asked (from the
+        pool or told of) or held, and none is removed, so both records give
+        one pool; (c) a belief without news or a landed copy is the family's
+        own denial, read 0, which the break skips at or above r_min; it is
+        below r_min only in its first place event (a donor keeps r_min),
+        which the FIFO queue runs before any chase of its, so before any ask.
         """
         fam = self.families[do]
         fam.pending = False
@@ -282,11 +287,9 @@ class World:
         for host_id in candidate_hosts(fam, self, desired):
             if fam.believed_free.get(host_id, cap) <= 0 and len(fam.copies) >= fam.r_min:
                 break  # only hosts it believes full remain
-            fresh = host_id not in fam.known_hosts
-            if self._contact(fam, host_id):
-                fam.known_hosts.add(host_id)
-                if fresh:
-                    new_hosts.append(host_id)
+            fresh = host_id not in fam.believed_free
+            if self._contact(fam, host_id) and fresh:
+                new_hosts.append(host_id)
         if new_hosts:
             self.queue.append(("announce", fam.do_id, tuple(new_hosts)))
 

@@ -22,8 +22,7 @@ class Family:
     """A parent DO plus the preservation copies it has placed elsewhere."""
 
     __slots__ = ("do_id", "home_host", "r_min", "r_max", "copies",
-                 "known_hosts", "believed_free", "pending",
-                 "chase_target", "intro_t")
+                 "believed_free", "pending", "chase_target", "intro_t")
 
     def __init__(self, do_id: int, home_host: int, r_min: int, r_max: int, intro_t: int):
         self.do_id = do_id
@@ -31,10 +30,8 @@ class Family:
         self.r_min = r_min
         self.r_max = r_max
         self.copies: set[int] = set()        # hosts holding a preservation copy
-        self.known_hosts: set[int] = {home_host}
-        # What this family last heard about each host's open slots.  Hosts
-        # it has never dealt with are assumed wide open; slot counts only
-        # ever shrink, so bad news never goes stale.
+        # Open slots last heard of, per host heard of; the unheard are assumed
+        # wide open.  Slot counts only shrink, so bad news never goes stale.
         self.believed_free: dict[int, int] = {}
         self.pending = False                 # a survey-style attempt is queued
         self.chase_target: int | None = None # announced host awaiting a visit
@@ -97,14 +94,14 @@ def copies_to_attempt(policy: PolicyKind, current_c: int, r_min: int, r_max: int
 def candidate_hosts(family: Family, world, limit: int | None = None) -> list[int]:
     """Hosts this family could petition, best believed prospects first.
 
-    Drawn from what it has been told about plus where its friends live,
-    excluding anywhere it already has a replica.  Hosts the family has
-    never heard about are believed wide open and come first, by id; the
-    hosts it has heard about follow, by the free slots it believes each
-    has, then by id.  Hosts believed full stay at the tail: they may still
-    accept via a sacrifice.  ``limit`` is the contact budget: only that
-    many of the best are returned (all of them when None), and when the
-    unheard hosts alone fill it the heard ones are never ranked.
+    Drawn from the hosts it has heard of (``believed_free``'s keys) and
+    its friends' homes, minus where it already has a replica.  Unheard
+    hosts are believed wide open and come first, by id; heard hosts
+    follow, by the free slots believed, then by id.  Hosts believed full
+    stay at the tail: they may still accept via a sacrifice.  ``limit``
+    is the contact budget: only that many of the best are returned (all
+    of them when None), and when the unheard hosts alone fill it the
+    heard ones are never ranked.
 
     Every believed count is one a host reported (or an announcer saw) after
     a request, so it is below ``host_capacity`` whenever that is at least
@@ -113,7 +110,7 @@ def candidate_hosts(family: Family, world, limit: int | None = None) -> list[int
     alike and the order is by id.
     """
     families = world.families
-    pool = set(family.known_hosts)
+    pool = set(family.believed_free)
     for friend in world.graph.neighbors(family.do_id):
         pool.add(families[friend].home_host)
     pool.discard(family.home_host)
@@ -203,10 +200,10 @@ def try_sacrifice(beneficiary: Family, host_id: int, world) -> int | None:
 def announce_new_host(family: Family, host_id: int, world) -> int:
     """Tell every friend about a host that just accepted one of our copies.
 
-    The news carries how much room the announcer saw left.  Friends below
-    their r_max who hear of actual room go chase that host; a family keeps
-    at most one chase queued, retargeted by newer news.  Only a DO that has
-    linked has edges, so every friend told has joined the graph.
+    Each friend records the announcer's count of the room left as its
+    belief, and so hears of the host.  Friends below r_max told of room
+    chase it; a family keeps at most one chase queued, retargeted by newer
+    news.  Only a DO that has linked has edges, so every friend has joined.
     """
     friends = sorted(world.graph.neighbors(family.do_id))
     world.send(HOST_ANNOUNCE, family.do_id, friends)
@@ -214,7 +211,6 @@ def announce_new_host(family: Family, host_id: int, world) -> int:
     families = world.families
     for friend in friends:
         other = families[friend]
-        other.known_hosts.add(host_id)
         other.believed_free[host_id] = observed
         if (observed > 0 and len(other.copies) < other.r_max
                 and host_id != other.home_host and host_id not in other.copies):

@@ -134,11 +134,11 @@ class TestSteadyState:
         add_family(world, 2, home=2)
         add_family(world, 3, home=3)
         needy = world.families[2]
-        needy.known_hosts.add(4)
+        needy.believed_free[4] = 0
         assert world.family_has_opening(needy)
         # Forget the full host again: families 2 and 3 know nothing
         # beyond their own homes, family 1 is already at r_max.
-        needy.known_hosts.discard(4)
+        del needy.believed_free[4]
         assert not any(world.family_has_opening(f) for f in world.families.values())
 
 
@@ -365,3 +365,84 @@ class TestEffectivenessSeries:
                           if delta < 0 and ts[i - 1] < t <= ts[i])
             floor = series[i - 1] - removed * (1 / 3) / n - 1e-9
             assert series[i] >= floor
+
+
+class HeardHostsWorld(World):
+    """A ``World`` that also keeps a separate record of the hosts each family
+    has heard of, as the reference for the belief keys that stand in for it.
+
+    ``heard[do]`` starts as the family's home; it gains each host a friend
+    announces and each host a place event lands a copy on.  Around each
+    place event the family's pool over ``heard`` must equal its pool over
+    the belief keys, and before each contact of a place event "never heard
+    of" must read the same from both records.
+    """
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.heard: dict[int, set[int]] = {}
+        self.placing: int | None = None
+        self.contacts = 0
+        self.mismatches: list[tuple] = []
+
+    def register_family(self, fam):
+        super().register_family(fam)
+        self.heard[fam.do_id] = {fam.home_host}
+
+    def _pool(self, fam, hosts):
+        pool = set(hosts)
+        pool.update(self.families[f].home_host for f in self.graph.neighbors(fam.do_id))
+        pool.discard(fam.home_host)
+        return pool - fam.copies
+
+    def _check_pool(self, fam):
+        if self._pool(fam, self.heard[fam.do_id]) != self._pool(fam, fam.believed_free):
+            self.mismatches.append(("pool", self.t, fam.do_id))
+
+    def _process_place(self, do, first):
+        fam = self.families[do]
+        self._check_pool(fam)
+        self.placing = do
+        super()._process_place(do, first)
+        self.placing = None
+        self._check_pool(fam)
+
+    def _contact(self, fam, host_id):
+        if self.placing is None:
+            return super()._contact(fam, host_id)
+        self.contacts += 1
+        heard = self.heard[fam.do_id]
+        if (host_id in heard) != (host_id in fam.believed_free):
+            self.mismatches.append(("heard", self.t, fam.do_id, host_id))
+        landed = super()._contact(fam, host_id)
+        if landed:
+            heard.add(host_id)
+        return landed
+
+    def _process_announce(self, do, host_ids):
+        super()._process_announce(do, host_ids)
+        for friend in self.graph.neighbors(do):
+            self.heard[friend].update(host_ids)
+
+
+def test_belief_keys_are_the_heard_hosts():
+    small = SimConfig(n_max=200, h_max=400, policy=PolicyKind.MOST)
+    configs = [
+        *(SimConfig(policy=p) for p in PolicyKind),
+        replace(small, host_capacity=0),
+        replace(small, host_capacity=1),
+        replace(small, r_min=4, r_max=4, policy=PolicyKind.MODERATE),
+        replace(small, intro_interval=1, policy=PolicyKind.LEAST),
+        replace(small, host_capacity=400),
+        replace(small, h_max=100, host_capacity=2),
+    ]
+    contacts = 0
+    mismatches = []
+    for config in configs:
+        world = HeardHostsWorld(config)
+        for _ in world.events():
+            pass
+        contacts += world.contacts
+        mismatches.extend((config, *m) for m in world.mismatches)
+    assert mismatches == []
+    assert contacts >= 10_000

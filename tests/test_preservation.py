@@ -64,13 +64,12 @@ class TestCandidateHosts:
         fam = add_family(world, 1, home=10, copies=(30,))
         add_family(world, 2, home=30)
         world.graph.add_edge(1, 2)
-        fam.known_hosts.update({10, 30})
+        fam.believed_free.update({10: 4, 30: 4})
         assert candidate_hosts(fam, world) == []
 
     def test_ordered_by_believed_free_slots(self):
         world = make_world()
         fam = add_family(world, 1, home=10)
-        fam.known_hosts.update({21, 22})
         fam.believed_free[21] = 1
         fam.believed_free[22] = 3
         world.discover_host(21)
@@ -80,7 +79,6 @@ class TestCandidateHosts:
     def test_believed_full_kept_at_tail(self):
         world = make_world()
         fam = add_family(world, 1, home=10)
-        fam.known_hosts.update({21, 22})
         fam.believed_free[21] = 0
         fam.believed_free[22] = 2
         world.discover_host(21)
@@ -90,9 +88,10 @@ class TestCandidateHosts:
 
 def ranked_by_sorting(family, world):
     """The ranking as a plain sort: one (-believed, id) key per candidate,
-    with hosts never heard about believed to have ``host_capacity`` slots."""
+    over friends' homes and the hosts the family holds a belief about, with
+    hosts never heard about believed to have ``host_capacity`` slots."""
     pool = {world.families[f].home_host for f in world.graph.neighbors(family.do_id)}
-    pool |= family.known_hosts
+    pool |= family.believed_free.keys()
     pool.discard(family.home_host)
     pool -= family.copies
     cap = world.config.host_capacity
@@ -133,17 +132,15 @@ class TestRankingMatchesPlainSort:
         assert mismatches == []
 
     @given(data=st.data(), capacity=st.integers(0, 6), home=st.integers(1, 30),
-           known=st.sets(st.integers(1, 30), max_size=20),
            friend_homes=st.lists(st.integers(1, 30), max_size=8),
            limit=st.one_of(st.none(), st.integers(1, 8)))
-    def test_hand_built_families(self, data, capacity, home, known, friend_homes, limit):
+    def test_hand_built_families(self, data, capacity, home, friend_homes, limit):
         world = make_world(host_capacity=capacity)
         fam = add_family(world, 1, home=home)
-        fam.known_hosts |= known
         for do, friend_home in enumerate(friend_homes, 2):
             add_family(world, do, home=friend_home)
             world.graph.add_edge(1, do)
-        hosts = sorted(known | set(friend_homes) | {home})
+        hosts = range(1, 31)
         fam.copies = data.draw(st.sets(st.sampled_from(hosts), max_size=5))
         fam.believed_free = data.draw(st.dictionaries(
             st.sampled_from(hosts), st.integers(0, max(capacity - 1, 0))))
@@ -266,7 +263,7 @@ class TestSacrifice:
         world = make_world(host_capacity=0)
         fam = add_family(world, 1, home=10)
         world.discover_host(20)
-        fam.known_hosts.add(20)
+        fam.believed_free[20] = 0
         world._process_place(1, first=True)
         assert ledger_views.messages(world) == [
             (MessageKind.COPY_REQUEST, 1, 20),
@@ -328,7 +325,7 @@ class TestAnnounceNewHost:
         rich = add_family(world, 2, home=20, copies=(30,), r_min=1, r_max=1)
         world.graph.add_edge(1, 2)
         announce_new_host(fam, 40, world)
-        assert 40 in rich.known_hosts
+        assert rich.believed_free[40] == 4
         assert rich.chase_target is None
         assert not world.queue
 

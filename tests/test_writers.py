@@ -30,6 +30,11 @@ ONE_WRITER = {
     "families": {"World.register_family"},
 }
 
+# A family's belief keys are the hosts it has heard of, so only a copy
+# request, a sacrifice and an announcement write a belief, and nothing else
+# deletes or pops one (the argument in ``World._process_place``).
+BELIEF_WRITERS = {"place_copy", "try_sacrifice", "announce_new_host"}
+
 # A graph's kept CSR is handed back while its node order and degrees hold,
 # which is sound only because no code removes an edge or a node.
 GRAPH_WRITERS = {
@@ -145,6 +150,10 @@ def test_copy_outcomes_are_read_from_the_ledger():
     assert all(isinstance(v, property) and v.fset is None for v in views.values()), views
     found = writers()
     assert {name: found.get(name, set()) for name in names} == dict.fromkeys(names, set())
+
+
+def test_beliefs_are_written_by_requests_and_news_only():
+    assert writers().get("believed_free", set()) == BELIEF_WRITERS
 
 
 def test_graph_writers_only_add():
