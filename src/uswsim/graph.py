@@ -87,10 +87,24 @@ def _sample(rng: Random, population: list, k: int) -> list:
 
 
 class FriendshipGraph:
-    """Undirected simple graph over DO ids (no self-loops, no parallel edges)."""
+    """Undirected simple graph over DO ids (no self-loops, no parallel edges).
+
+    ``adj[u]`` lists u's neighbours in the order its edges were added, each
+    once.  ``add_edge`` and ``has_edge`` scan a row, O(degree); only tests,
+    the benchmark's checks and a new node's first link call them.
+
+    No output depends on the order within a row.  No random draw does:
+    ``glean`` sorts each new batch before ``_below``/``_sample`` index the
+    candidates.  ``announce_new_host``, ``edges()`` and ``write_edge_list``
+    sort rows, and ``candidate_hosts`` adds a row to a set.  ``_csr``
+    reads degrees and entries, and both metrics are order-free within a
+    row: triangle bitsets are ORed, path totals are integers, and
+    ``bincount`` adds integer-valued float weights exactly.  Node order is
+    the dict order of ``adj``, in which nodes were added.
+    """
 
     def __init__(self):
-        self.adj: dict[int, set[int]] = {}
+        self.adj: dict[int, list[int]] = {}
         self.edge_count = 0
         # The last CSR _csr built, kept with the node order and degrees it
         # was built for: edges are only ever added, so while the degrees
@@ -99,7 +113,7 @@ class FriendshipGraph:
 
     def add_node(self, u: int):
         if u not in self.adj:
-            self.adj[u] = set()
+            self.adj[u] = []
 
     def add_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -108,15 +122,16 @@ class FriendshipGraph:
         self.add_node(v)
         if v in self.adj[u]:
             return False
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        self.adj[u].append(v)
+        self.adj[v].append(u)
         self.edge_count += 1
         return True
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.adj and v in self.adj[u]
 
-    def neighbors(self, u: int) -> set[int]:
+    def neighbors(self, u: int) -> list[int]:
+        """u's row itself, in the order its edges were added; not a copy."""
         return self.adj[u]
 
     def nodes(self) -> list[int]:
@@ -160,9 +175,10 @@ class WanderState:
         self.connected = entry is None
         self.steps = 0
 
-    def glean(self, friends: set[int]):
+    def glean(self, friends: list[int]):
         """Add the friends not yet gleaned, other than the wanderer, in ascending order."""
-        new = friends - self._candidate_set
+        new = set(friends)
+        new -= self._candidate_set
         new.discard(self.do_id)
         self._candidate_set |= new
         self.candidates += sorted(new)
@@ -236,9 +252,9 @@ def finalize_links(state: WanderState, graph: FriendshipGraph,
         adj = graph.adj
         mine = adj[do]
         targets = [t for t in _sample(rng, remaining, k) if t not in mine]
-        mine.update(targets)
+        mine += targets
         for target in targets:
-            adj[target].add(do)
+            adj[target].append(do)
         graph.edge_count += len(targets)
         friends += targets
     return friends
@@ -438,20 +454,19 @@ def _csr(graph: FriendshipGraph) -> tuple[np.ndarray, np.ndarray]:
 
     The graph keeps the last CSR built, read-only, and hands it back while
     the node order and degrees are unchanged.  A CSR kept by
-    ``uniform_random_graph`` lists each row in drawing order, which may
-    differ from the iteration order of ``graph.adj[u]``; neither metric
-    depends on the order within a row."""
+    ``uniform_random_graph`` lists each row in drawing order, the order of
+    ``graph.adj[u]``."""
     import numpy as np
 
     nodes = list(graph.adj)
     n = len(nodes)
-    neighbour_sets = list(graph.adj.values())
-    degrees = np.fromiter(map(len, neighbour_sets), dtype=np.int64, count=n)
+    neighbour_lists = list(graph.adj.values())
+    degrees = np.fromiter(map(len, neighbour_lists), dtype=np.int64, count=n)
     memo = graph._csr_memo
     if memo is not None and memo[0] == nodes and np.array_equal(memo[1], degrees):
         return memo[1], memo[2]
     row = dict(zip(nodes, range(n)))
-    indices = np.fromiter(map(row.__getitem__, chain.from_iterable(neighbour_sets)),
+    indices = np.fromiter(map(row.__getitem__, chain.from_iterable(neighbour_lists)),
                           dtype=np.min_scalar_type(n), count=int(degrees.sum()))
     degrees.flags.writeable = indices.flags.writeable = False
     graph._csr_memo = (nodes, degrees, indices)
@@ -524,9 +539,9 @@ def uniform_random_graph(n: int, m: int, rng: Random) -> FriendshipGraph:
     CPython's; the per-pair oracle in the tests guards it.
 
     The first m distinct pairs are picked in numpy, and each node's
-    neighbours, in drawing order, become both its set and its row of the
+    neighbours, in drawing order, become both its list and its row of the
     graph's kept CSR, so the metrics read the baseline without rebuilding
-    it.  The sets share one int object per node id.
+    it.  The lists share one int object per node id.
     """
     import numpy as np
 
@@ -542,7 +557,7 @@ def uniform_random_graph(n: int, m: int, rng: Random) -> FriendshipGraph:
     graph = FriendshipGraph()
     ids = list(range(1, n + 1))
     neighbours = iter(np.array(ids, dtype=object)[indices].tolist())
-    graph.adj = {u: set(islice(neighbours, d)) for u, d in zip(ids, degrees.tolist())}
+    graph.adj = {u: list(islice(neighbours, d)) for u, d in zip(ids, degrees.tolist())}
     graph.edge_count = m
     degrees.flags.writeable = indices.flags.writeable = False
     graph._csr_memo = (ids, degrees, indices)

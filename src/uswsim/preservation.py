@@ -197,7 +197,7 @@ def try_sacrifice(beneficiary: Family, host_id: int, world) -> int | None:
     return donor_id
 
 
-def announce_new_host(family: Family, host_id: int, world) -> int:
+def announce_new_host(family: Family, host_id: int, world):
     """Tell every friend about a host that just accepted one of our copies.
 
     Each friend records the announcer's count of the room left as its
@@ -217,4 +217,3 @@ def announce_new_host(family: Family, host_id: int, world) -> int:
             if other.chase_target is None:
                 world.enqueue_chase(friend)
             other.chase_target = host_id
-    return len(friends)

@@ -6,8 +6,9 @@ directives, and each message kind against the one it pairs with.
 ``Instrumentation`` runs it during a run, together with the per-event
 sacrifice rules (``sacrifice_violations``), and
 ``run_instrumented`` also checks, at the end, a ``RecordingWorld``'s rows
-against its ledger and the replayed copy trail against who holds each copy
-(``trail_violations``).
+against its ledger, the replayed copy trail against who holds each copy
+(``trail_violations``) and the friendship graph's rows against each other
+(``graph_violations``).
 """
 
 from ledger_views import RecordingWorld, kind_counts
@@ -121,6 +122,29 @@ def trail_violations(world) -> list[str]:
     return found
 
 
+def graph_violations(graph) -> list[str]:
+    """Whether ``graph``'s rows form a simple undirected graph: each row is
+    a list with no self-loop and no neighbour twice, each entry is mirrored
+    in the other node's row, and the row lengths sum to twice the edge
+    count."""
+    rows = graph.adj
+    neighbours = {u: set(row) for u, row in rows.items()}
+    found = []
+    for u, row in rows.items():
+        if type(row) is not list:
+            found.append(f"node {u}'s row is a {type(row).__name__}, not a list")
+        if u in neighbours[u]:
+            found.append(f"node {u} links to itself")
+        if len(neighbours[u]) != len(row):
+            found.append(f"node {u} lists a neighbour twice")
+        found += [f"edge {u}-{v} is not mirrored" for v in row
+                  if u not in neighbours.get(v, ())]
+    total = sum(map(len, rows.values()))
+    if total != 2 * graph.edge_count:
+        found.append(f"row lengths sum to {total}, not twice the {graph.edge_count} edges")
+    return found
+
+
 def sacrifice_violations(families, moves):
     """Copy moves of one event (its slice of ``World.copy_events``) that break
     the sacrifice rules, given ``families`` as the event left them.  A copy
@@ -180,5 +204,6 @@ def run_instrumented(config, monitor) -> RecordingWorld:
         trail = world.copy_events
         monitor.after_event(world, trail[seen:])
         seen = len(trail)
-    monitor.violations += audit(world) + recording_violations(world) + trail_violations(world)
+    monitor.violations += (audit(world) + recording_violations(world) + trail_violations(world)
+                           + graph_violations(world.graph))
     return world

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 import ledger_views
-from audit import add_family, audit, make_world, trail_violations
+from audit import add_family, audit, graph_violations, make_world, trail_violations
 from ledger_views import RecordingWorld, recorded_run
 from uswsim.analysis import emit_timeseries_csv, summary_dict
 from uswsim.engine import World, run
@@ -94,10 +94,11 @@ class TestConservation:
     @pytest.mark.parametrize("cfg", [
         *(SimConfig(n_max=50, h_max=100, seed=6, policy=p) for p in PolicyKind),
         SimConfig(n_max=80, h_max=160, seed=9, policy=PolicyKind.MOST),
-    ], ids=["least", "moderate", "most", "most-n80"])
+        SimConfig(n_max=300, h_max=300, host_capacity=600, seed=4, policy=PolicyKind.MOST),
+    ], ids=["least", "moderate", "most", "most-n80", "feast-n300"])
     def test_end_of_run_audit_is_clean(self, cfg):
         world = run(cfg)
-        assert audit(world) + trail_violations(world) == []
+        assert audit(world) + trail_violations(world) + graph_violations(world.graph) == []
 
     def test_bin_sums_match_totals(self):
         result = recorded_run(SimConfig(n_max=50, h_max=100, seed=2))
@@ -278,7 +279,7 @@ class TestBulkSends:
         world.discover_host(host)
         assert place_copy(fam, host, world) is PlaceOutcome.PLACED
         world.t += 1
-        assert announce_new_host(fam, host, world) == 0
+        announce_new_host(fam, host, world)
         assert world.ledger.kind_counts == {MessageKind.COPY_REQUEST: 1, MessageKind.COPY_ACK: 1}
         assert world.ledger.total == len(world.rows) == 2
 

@@ -5,7 +5,9 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from audit import graph_violations
 from uswsim.graph import (
     BFS_BLOCK,
     FriendshipGraph,
@@ -67,6 +69,73 @@ class TestFriendshipGraph:
         path = tmp_path / "g.edges"
         g.write_edge_list(path)
         assert path.read_bytes() == "".join(f"{u} {v}\n" for u, v in g.edges()).encode()
+
+
+class TestAgainstSetModel:
+    """FriendshipGraph against a plain dict of neighbour sets, fed the same
+    edge sequence: repeats, both orientations and self-loops included."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(pairs=st.lists(st.tuples(st.integers(-3, 8), st.integers(-3, 8)), max_size=60))
+    def test_edge_sequence(self, pairs, tmp_path_factory):
+        g = FriendshipGraph()
+        model: dict[int, set[int]] = {}
+        for u, v in pairs:
+            if u == v:
+                with pytest.raises(ValueError):
+                    g.add_edge(u, v)
+                continue
+            assert g.add_edge(u, v) is (v not in model.get(u, ()))
+            model.setdefault(u, set()).add(v)
+            model.setdefault(v, set()).add(u)
+        # Each row: the neighbours in the order their edges first came.
+        rows: dict[int, dict[int, None]] = {}
+        for u, v in pairs:
+            if u != v:
+                rows.setdefault(u, {})[v] = None
+                rows.setdefault(v, {})[u] = None
+        edges = sorted((u, v) for u in model for v in model[u] if u < v)
+        assert g.edge_count == len(edges)
+        assert list(g.adj) == list(rows)
+        assert g.adj == {u: list(row) for u, row in rows.items()}
+        assert graph_violations(g) == []
+        for u in range(-4, 10):
+            for v in range(-4, 10):
+                assert g.has_edge(u, v) is (v in model.get(u, ())), (u, v)
+        assert g.edges() == edges
+        path = tmp_path_factory.getbasetemp() / "model.edges"
+        g.write_edge_list(path)
+        assert path.read_bytes() == "".join(f"{u} {v}\n" for u, v in edges).encode()
+
+
+class TestGraphAudit:
+    @pytest.mark.parametrize("n, seed", [(500, 1), (2000, 12)])
+    def test_grown_graph_and_its_baseline_are_clean(self, n, seed):
+        g = grow_graph(n, seed=seed)
+        baseline = uniform_random_graph(n, g.edge_count, Random(seed + 10_000))
+        assert graph_violations(g) == []
+        assert graph_violations(baseline) == []
+
+    @pytest.mark.parametrize("corrupt, found", [
+        (lambda g: g.adj[1].append(1),
+         ["node 1 links to itself", "row lengths sum to 5, not twice the 2 edges"]),
+        (lambda g: (g.adj[1].append(2), g.adj[2].append(1)),
+         ["node 1 lists a neighbour twice", "node 2 lists a neighbour twice",
+          "row lengths sum to 6, not twice the 2 edges"]),
+        (lambda g: g.adj[1].append(3),
+         ["edge 1-3 is not mirrored", "row lengths sum to 5, not twice the 2 edges"]),
+        (lambda g: g.adj[3].append(9),
+         ["edge 3-9 is not mirrored", "row lengths sum to 5, not twice the 2 edges"]),
+        (lambda g: setattr(g, "edge_count", 3),
+         ["row lengths sum to 4, not twice the 3 edges"]),
+        (lambda g: g.adj.__setitem__(2, {1, 3}),
+         ["node 2's row is a set, not a list"]),
+    ], ids=["self-loop", "twice", "unmirrored", "not-a-node", "edge-count", "set-row"])
+    def test_flags_each_broken_invariant(self, corrupt, found):
+        g = graph_of([(1, 2), (2, 3)])
+        assert graph_violations(g) == []
+        corrupt(g)
+        assert graph_violations(g) == found
 
 
 class TestWandering:
@@ -405,9 +474,9 @@ class TestCsr:
     @pytest.mark.parametrize("outside", [5, 0, 99, -3, 1 << 70])
     def test_neighbour_outside_nodes_raises(self, outside):
         # 5 lies between the nodes' ids, 0, 99 and -3 beyond them, and
-        # 2**70 beyond int64.  It joins node 8's set without becoming a node.
+        # 2**70 beyond int64.  It joins node 8's row without becoming a node.
         g = graph_of([(2, 4), (4, 6), (6, 8)])
-        g.adj[8].add(outside)
+        g.adj[8].append(outside)
         with pytest.raises(KeyError):
             _csr(g)
 
@@ -419,6 +488,17 @@ class TestCsr:
                 array[0] = 0
         again = _csr(g)
         assert again[0] is degrees and again[1] is indices
+
+    def test_rows_in_the_order_edges_were_added(self):
+        # A grown graph's rows are not all ascending; the CSR lists each
+        # as graph.adj does.
+        g = grow_graph(300, seed=3)
+        nodes = list(g.adj)
+        degrees, indices = _csr(g)
+        starts = (np.cumsum(degrees) - degrees).tolist()
+        for i, u in enumerate(nodes):
+            assert [nodes[r] for r in indices[starts[i]:starts[i] + degrees[i]]] == g.adj[u], u
+        assert any(row != sorted(row) for row in g.adj.values())
 
     def test_kept_csr_follows_node_order(self):
         # graph.adj reordered after a build: first with the same degree
@@ -546,16 +626,17 @@ class TestUniformRandomGraph:
         for u in g.adj:
             assert list(g.adj[u]) == list(expected.adj[u]), u
         assert rng.getstate() == oracle_rng.getstate()
-        # The kept CSR: each row holds the node's neighbours, a second
-        # _csr hands the same arrays back, and both metrics equal those
-        # of a fresh CSR built from the sets.
+        # The kept CSR: each row lists the node's neighbours as its list
+        # does, both in drawing order, a second _csr hands the same arrays
+        # back, and both metrics equal those of a fresh CSR built from
+        # the lists.
         nodes = list(g.adj)
         kept_nodes, degrees, indices = g._csr_memo
         assert kept_nodes == nodes
         starts = np.cumsum(degrees) - degrees
         for i, u in enumerate(nodes):
             row = indices[starts[i]:starts[i] + degrees[i]].tolist()
-            assert {nodes[r] for r in row} == g.adj[u], u
+            assert [nodes[r] for r in row] == g.adj[u], u
         again = _csr(g)
         assert again[0] is degrees and again[1] is indices
         fresh = graph_of(g.edges(), nodes=nodes)
