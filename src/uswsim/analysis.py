@@ -266,7 +266,7 @@ def emit_snapshot_svg(result: World, t: int, path):
     row_y = [f'{gy + row * cell:.2f}" width="{cell:.2f}" height="{cell:.2f}" fill="'
              for row in range(rows)]
     cap = cfg.host_capacity
-    band_fill = [f'{_BAND_FILL[host_band(u, cap, True)]}" stroke="#888" stroke-width="0.2"/>'
+    band_fill = [f'{_BAND_FILL[host_band(u, cap)]}" stroke="#888" stroke-width="0.2"/>'
                  for u in range(cap + 1)]
     grey_fill = f'{_BAND_FILL[HostBand.GREY]}" stroke="#888" stroke-width="0.2"/>'
     for h in range(1, cfg.h_max + 1):

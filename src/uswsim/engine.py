@@ -95,7 +95,7 @@ class World:
         self.status_counts = [0, 0, 0, 0]
         self._status_index = [status_of(c, config.r_min, config.r_max).value - 1
                               for c in range(config.r_max + 1)]
-        self._band_name = [host_band(used, config.host_capacity, True).value
+        self._band_name = [host_band(used, config.host_capacity).value
                            for used in range(config.host_capacity + 1)]
         self.host_band_counts = {"white": 0, "red": 0, "yellow": 0, "green": 0, "blue": 0}
 
@@ -158,10 +158,12 @@ class World:
     def note_copy(self, fam: Family, host: Host, delta: int):
         """Store (+1) or remove (-1) a copy of ``fam`` on ``host`` and book it.
 
-        The only code that changes who holds a copy."""
+        The only code that changes who holds a copy.  Both lists keep
+        placement order; no caller stores a copy already held, so neither
+        lists an id twice."""
         if delta > 0:
-            fam.copies.add(host.host_id)
-            host.foreign.add(fam.do_id)
+            fam.copies.append(host.host_id)
+            host.foreign.append(fam.do_id)
         else:
             fam.copies.remove(host.host_id)
             host.foreign.remove(fam.do_id)
@@ -268,8 +270,9 @@ class World:
         A host is new, and announced once a copy lands, if the family holds
         no belief about it; that equals "never heard of it": (a) news and
         contacts write beliefs; (b) only for hosts told of, asked (from the
-        pool or told of) or held, and none is removed, so both records give
-        one pool; (c) a belief without news or a landed copy is the family's
+        pool or told of) or held, never the family's home, which is out of
+        every pool, and none is removed, so both records give one pool;
+        (c) a belief without news or a landed copy is the family's
         own denial, read 0, which the break skips at or above r_min; it is
         below r_min only in its first place event (a donor keeps r_min),
         which the FIFO queue runs before any chase of its, so before any ask.

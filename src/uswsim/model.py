@@ -131,16 +131,14 @@ def status_of(c: int, r_min: int, r_max: int) -> PreservationStatus:
     return PreservationStatus.AT_MAX
 
 
-def host_band(used: int, capacity: int, discovered: bool) -> HostBand:
-    """Color band for one host's slot usage.
+def host_band(used: int, capacity: int) -> HostBand:
+    """Color band for one discovered host's slot usage.
 
-    Undiscovered hosts are grey regardless of anything else; discovered but
-    empty hosts are white; the rest split at 25/50/75% of capacity.
+    Empty hosts are white; the rest split at 25/50/75% of capacity.  Hosts
+    never discovered are ``HostBand.GREY``, which no slot count gives.
     """
     if used < 0 or used > capacity:
         raise ValueError(f"used {used} outside [0, {capacity}]")
-    if not discovered:
-        return HostBand.GREY
     if used == 0:
         return HostBand.WHITE
     ratio = used / capacity

@@ -29,7 +29,7 @@ class Family:
         self.home_host = home_host
         self.r_min = r_min
         self.r_max = r_max
-        self.copies: set[int] = set()        # hosts holding a preservation copy
+        self.copies: list[int] = []          # hosts holding a copy, in placement order
         # Open slots last heard of, per host heard of; the unheard are assumed
         # wide open.  Slot counts only shrink, so bad news never goes stale.
         self.believed_free: dict[int, int] = {}
@@ -50,7 +50,7 @@ class Host:
     def __init__(self, host_id: int, capacity: int):
         self.host_id = host_id
         self.capacity = capacity
-        self.foreign: set[int] = set()       # DOs holding a copy here
+        self.foreign: list[int] = []         # DOs holding a copy here, in placement order
 
     @property
     def used(self) -> int:
@@ -114,7 +114,7 @@ def candidate_hosts(family: Family, world, limit: int | None = None) -> list[int
     for friend in world.graph.neighbors(family.do_id):
         pool.add(families[friend].home_host)
     pool.discard(family.home_host)
-    pool -= family.copies
+    pool.difference_update(family.copies)
     if world.config.host_capacity < 1:
         return sorted(pool)[:limit]
     believed = family.believed_free
@@ -179,6 +179,8 @@ def try_sacrifice(beneficiary: Family, host_id: int, world) -> int | None:
     host = world.hosts[host_id]
     if len(host.foreign) < host.capacity:
         raise ValueError("sacrifice on a host with free slots")
+    if host_id == beneficiary.home_host or host_id in beneficiary.copies:
+        raise ValueError(f"family {beneficiary.do_id} already lives on host {host_id}")
     if len(beneficiary.copies) >= beneficiary.r_min:
         raise ValueError("beneficiary is not below its r_min")
     world.send(COPY_REQUEST, beneficiary.do_id, host_id)
@@ -201,9 +203,11 @@ def announce_new_host(family: Family, host_id: int, world):
     """Tell every friend about a host that just accepted one of our copies.
 
     Each friend records the announcer's count of the room left as its
-    belief, and so hears of the host.  Friends below r_max told of room
-    chase it; a family keeps at most one chase queued, retargeted by newer
-    news.  Only a DO that has linked has edges, so every friend has joined.
+    belief, and so hears of the host, unless the host is the friend's home:
+    a family holds no belief about its home.  Friends below r_max told of
+    room chase it; a family keeps at most one chase queued, retargeted by
+    newer news.  Only a DO that has linked has edges, so every friend has
+    joined.
     """
     friends = sorted(world.graph.neighbors(family.do_id))
     world.send(HOST_ANNOUNCE, family.do_id, friends)
@@ -211,9 +215,10 @@ def announce_new_host(family: Family, host_id: int, world):
     families = world.families
     for friend in friends:
         other = families[friend]
+        if host_id == other.home_host:
+            continue
         other.believed_free[host_id] = observed
-        if (observed > 0 and len(other.copies) < other.r_max
-                and host_id != other.home_host and host_id not in other.copies):
+        if observed > 0 and len(other.copies) < other.r_max and host_id not in other.copies:
             if other.chase_target is None:
                 world.enqueue_chase(friend)
             other.chase_target = host_id

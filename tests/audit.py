@@ -1,8 +1,9 @@
 """The bookkeeping audit every test shares, and hand-built worlds to run it on.
 
 ``audit(world)`` lists each way a world's bookkeeping disagrees with itself:
-copies against hosts, slots against the ledger's acks less its sacrifice
-directives, and each message kind against the one it pairs with.
+copies against hosts (each side a list with no id twice), slots against the
+ledger's acks less its sacrifice directives, and each message kind against
+the one it pairs with.
 ``Instrumentation`` runs it during a run, together with the per-event
 sacrifice rules (``sacrifice_violations``), and
 ``run_instrumented`` also checks, at the end, a ``RecordingWorld``'s rows
@@ -49,6 +50,7 @@ def audit(world) -> list[str]:
                          f"free slots of {world.config.host_capacity}")
         if fam.home_host in fam.copies:
             found.append(f"family {do} copied onto its own host")
+        found += _list_violations(f"family {do}", "copies", fam.copies, "host")
         copies_sum += fam.copy_count
         for host_id in fam.copies:
             if do not in world.hosts[host_id].foreign:
@@ -57,6 +59,7 @@ def audit(world) -> list[str]:
     for host in world.hosts.values():
         if host.used > host.capacity:
             found.append(f"host {host.host_id} above capacity")
+        found += _list_violations(f"host {host.host_id}", "foreign", host.foreign, "DO")
         used_sum += host.used
         for do in host.foreign:
             if host.host_id not in world.families[do].copies:
@@ -68,6 +71,13 @@ def audit(world) -> list[str]:
     if copies_sum != used_sum or copies_sum != moved:
         found.append("copy/slot sums diverged")
     return found + pairing_violations(world)
+
+
+def _list_violations(owner, attr, ids, what) -> list[str]:
+    """Whether ``ids``, ``owner``'s ``attr``, is a list naming each ``what`` once."""
+    if type(ids) is not list:
+        return [f"{owner} keeps its {attr} in a {type(ids).__name__}, not a list"]
+    return [f"{owner} lists a {what} twice"] if len(set(ids)) != len(ids) else []
 
 
 def pairing_violations(world) -> list[str]:
@@ -101,7 +111,8 @@ def recording_violations(world: RecordingWorld) -> list[str]:
 def trail_violations(world) -> list[str]:
     """Whether replaying ``World.copy_events`` from t = 0 gives exactly each
     family's ``copies`` and each host's ``foreign``: every move adds a copy
-    not yet held or removes one that is, and the copies left are those held."""
+    not yet held or removes one that is, and the copies left are those held,
+    each listed once on each side."""
     held = set()
     found = []
     for t, do, host, delta in world.copy_events:
@@ -112,9 +123,12 @@ def trail_violations(world) -> list[str]:
             held.remove(pair)
         else:
             found.append(f"trail moves {delta:+d} copy of family {do} on host {host} at t={t}")
-    by_family = {(do, h) for do, fam in world.families.items() for h in fam.copies}
-    by_host = {(do, host.host_id) for host in world.hosts.values() for do in host.foreign}
-    for side, actual in (("families' copies", by_family), ("hosts' foreign", by_host)):
+    by_family = [(do, h) for do, fam in world.families.items() for h in fam.copies]
+    by_host = [(do, host.host_id) for host in world.hosts.values() for do in host.foreign]
+    for side, pairs in (("families' copies", by_family), ("hosts' foreign", by_host)):
+        actual = set(pairs)
+        if len(actual) != len(pairs):
+            found.append(f"{side} list {len(pairs) - len(actual)} (do, host) pairs twice")
         if actual != held:
             off = sorted(actual ^ held)
             found.append(f"replayed trail and {side} differ in {len(off)} (do, host) "

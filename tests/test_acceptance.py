@@ -23,6 +23,7 @@ from audit import (
     recording_violations,
     run_instrumented,
     sacrifice_violations,
+    trail_violations,
 )
 from ledger_views import RecordingWorld
 from uswsim.cli import sweep_sizes
@@ -382,6 +383,30 @@ def test_audit_flags_family_that_lost_a_copy():
     host_id = min(fam.copies)
     fam.copies.remove(host_id)
     assert audit(world) == [f"host {host_id} and family 7 disagree", "copy/slot sums diverged"]
+
+
+@pytest.mark.parametrize("broken", ["host-twice", "do-twice", "copies-set", "foreign-set"])
+def test_audit_flags_copy_lists_a_set_would_have_folded(broken):
+    world = run(SimConfig(n_max=30, h_max=60, seed=3))
+    fam = world.families[10]  # below r_max, on a host with room
+    host = min((world.hosts[h] for h in fam.copies), key=lambda h: (h.used, h.host_id))
+    assert audit(world) + trail_violations(world) == [] and host.used < host.capacity
+    h = host.host_id
+    if broken == "host-twice":
+        fam.copies.append(h)
+        found = ["family 10 lists a host twice", "copy/slot sums diverged",
+                 "families' copies list 1 (do, host) pairs twice"]
+    elif broken == "do-twice":
+        host.foreign.append(10)
+        found = [f"host {h} lists a DO twice", "copy/slot sums diverged",
+                 "hosts' foreign list 1 (do, host) pairs twice"]
+    elif broken == "copies-set":
+        fam.copies = set(fam.copies)
+        found = ["family 10 keeps its copies in a set, not a list"]
+    else:
+        host.foreign = set(host.foreign)
+        found = [f"host {h} keeps its foreign in a set, not a list"]
+    assert audit(world) + trail_violations(world) == found
 
 
 def test_audit_flags_copies_off_the_placement_count():

@@ -394,7 +394,8 @@ class HeardHostsWorld(World):
         pool = set(hosts)
         pool.update(self.families[f].home_host for f in self.graph.neighbors(fam.do_id))
         pool.discard(fam.home_host)
-        return pool - fam.copies
+        pool.difference_update(fam.copies)
+        return pool
 
     def _check_pool(self, fam):
         if self._pool(fam, self.heard[fam.do_id]) != self._pool(fam, fam.believed_free):
@@ -424,6 +425,12 @@ class HeardHostsWorld(World):
         super()._process_announce(do, host_ids)
         for friend in self.graph.neighbors(do):
             self.heard[friend].update(host_ids)
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind), ids=lambda p: p.value)
+def test_no_family_holds_a_belief_about_its_home(policy):
+    world = run(SimConfig(policy=policy))
+    assert [do for do, fam in world.families.items() if fam.home_host in fam.believed_free] == []
 
 
 def test_belief_keys_are_the_heard_hosts():

@@ -56,33 +56,30 @@ class TestStatusOf:
 
 
 class TestHostBand:
-    def test_undiscovered_is_grey(self):
-        assert host_band(0, 5, False) is HostBand.GREY
-
     def test_discovered_empty_is_white(self):
-        assert host_band(0, 5, True) is HostBand.WHITE
+        assert host_band(0, 5) is HostBand.WHITE
 
     def test_full_is_blue(self):
-        assert host_band(5, 5, True) is HostBand.BLUE
+        assert host_band(5, 5) is HostBand.BLUE
 
     def test_one_fifth_is_red(self):
-        assert host_band(1, 5, True) is HostBand.RED
+        assert host_band(1, 5) is HostBand.RED
 
     def test_thresholds_left_closed(self):
         # At exactly 25/50/75% the band steps up.
-        assert host_band(1, 4, True) is HostBand.YELLOW
-        assert host_band(2, 4, True) is HostBand.GREEN
-        assert host_band(3, 4, True) is HostBand.BLUE
+        assert host_band(1, 4) is HostBand.YELLOW
+        assert host_band(2, 4) is HostBand.GREEN
+        assert host_band(3, 4) is HostBand.BLUE
 
     def test_rejects_overflow(self):
         with pytest.raises(ValueError):
-            host_band(6, 5, True)
+            host_band(6, 5)
 
     def test_band_monotone_in_used(self):
         order = [HostBand.WHITE, HostBand.RED, HostBand.YELLOW,
                  HostBand.GREEN, HostBand.BLUE]
         for cap in range(1, 11):
-            bands = [host_band(used, cap, True) for used in range(cap + 1)]
+            bands = [host_band(used, cap) for used in range(cap + 1)]
             ranks = [order.index(b) for b in bands]
             assert ranks == sorted(ranks)
 

@@ -93,7 +93,7 @@ def ranked_by_sorting(family, world):
     pool = {world.families[f].home_host for f in world.graph.neighbors(family.do_id)}
     pool |= family.believed_free.keys()
     pool.discard(family.home_host)
-    pool -= family.copies
+    pool.difference_update(family.copies)
     cap = world.config.host_capacity
     return [h for _, h in sorted((-family.believed_free.get(h, cap), h) for h in pool)]
 
@@ -141,7 +141,7 @@ class TestRankingMatchesPlainSort:
             add_family(world, do, home=friend_home)
             world.graph.add_edge(1, do)
         hosts = range(1, 31)
-        fam.copies = data.draw(st.sets(st.sampled_from(hosts), max_size=5))
+        fam.copies = data.draw(st.lists(st.sampled_from(hosts), max_size=5, unique=True))
         fam.believed_free = data.draw(st.dictionaries(
             st.sampled_from(hosts), st.integers(0, max(capacity - 1, 0))))
         assert candidate_hosts(fam, world, limit) == ranked_by_sorting(fam, world)[:limit]
@@ -154,8 +154,8 @@ class TestPlaceCopy:
         world.discover_host(20)
         outcome = place_copy(fam, 20, world)
         assert outcome is PlaceOutcome.PLACED
-        assert fam.copies == {20}
-        assert world.hosts[20].foreign == {1}
+        assert fam.copies == [20]
+        assert world.hosts[20].foreign == [1]
         assert world.ledger.kind_counts[MessageKind.COPY_REQUEST] == 1
         assert world.ledger.kind_counts[MessageKind.COPY_ACK] == 1
         assert fam.believed_free[20] == 4
@@ -288,6 +288,15 @@ class TestSacrifice:
         with pytest.raises(ValueError):
             try_sacrifice(beneficiary, 50, world)
 
+    def test_rejects_a_host_the_beneficiary_lives_on(self):
+        world = make_world(host_capacity=2)
+        add_family(world, 1, home=10, copies=(50, 61, 62, 63))
+        holder = add_family(world, 2, home=11, copies=(50,))
+        local = add_family(world, 3, home=50)
+        for fam in (holder, local):
+            with pytest.raises(ValueError):
+                try_sacrifice(fam, 50, world)
+
     def test_rejects_satisfied_beneficiary(self):
         world = make_world(host_capacity=1)
         add_family(world, 1, home=10, copies=(50, 61, 62, 63))
@@ -318,6 +327,18 @@ class TestAnnounceNewHost:
         assert world.ledger.kind_counts.get(MessageKind.HOST_ANNOUNCE, 0) == 0
         assert world.ledger.total == 0
         assert world.rows == []
+
+    def test_friend_at_the_host_hears_but_holds_no_belief(self):
+        world = make_world()
+        fam = add_family(world, 1, home=10, copies=(40,))
+        fam.believed_free[40] = 4
+        local = add_family(world, 2, home=40)
+        world.graph.add_edge(1, 2)
+        announce_new_host(fam, 40, world)
+        assert world.ledger.kind_counts[MessageKind.HOST_ANNOUNCE] == 1
+        assert local.believed_free == {}
+        assert local.chase_target is None
+        assert not world.queue
 
     def test_receiver_at_r_max_records_host_but_stays_idle(self):
         world = make_world(r_min=1, r_max=1)
